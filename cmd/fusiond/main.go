@@ -5,28 +5,20 @@
 //
 //	go run ./cmd/fusiond -addr :8080 -workers 8 -concurrency 4
 //
-//	POST /v1/jobs        HSIC cube body; options via query params
-//	                     (granularity, prefetch, threshold, components)
-//	GET  /v1/jobs/{id}   status and result (?image=1 adds base64 PNG)
-//	GET  /v1/stats       queue depth, cache hit rate, throughput
-//	GET  /metrics        Prometheus text exposition (also on -ops-addr)
+// It serves the v2 resource API — multipart cube uploads with JSON
+// option bodies, a structured {"error": {"code", "message"}} envelope,
+// job listing, cancellation, long-poll GET /v2/jobs/{id}?wait=30s,
+// content-negotiated GET /v2/jobs/{id}/result, the stage-span timeline
+// GET /v2/jobs/{id}/trace, and whole-scene streaming fusion of ENVI
+// BIL/BSQ/BIP rasters spooled to disk (POST /v2/scenes, POST
+// /v2/scenes/{id}/fuse) — documented in docs/openapi.yaml and wrapped by
+// the fusionclient SDK and the fusionctl CLI. GET /metrics is the
+// Prometheus exposition (also on -ops-addr).
 //
-// Whole-scene streaming fusion (ENVI BIL/BSQ/BIP rasters, spooled to
-// disk and fused tile-by-tile — see internal/scene):
-//
-//	POST   /v1/scenes               multipart upload: "header" (.hdr
-//	                                text) then "data" (raw payload)
-//	GET    /v1/scenes[/{id}]        registry listing / scene info
-//	POST   /v1/scenes/{id}/fuse     fuse with per-tile progress
-//	GET    /v1/scenes/{id}/result   latest composite as image/png
-//	DELETE /v1/scenes/{id}          unregister and delete the spool
-//
-// The same pool is also served as the v2 resource API — JSON option
-// bodies, structured {"error": {"code", "message"}} envelope, GET
-// /v2/jobs listing, long-poll GET /v2/jobs/{id}?wait=30s,
-// content-negotiated GET /v2/jobs/{id}/result, and the stage-span
-// timeline GET /v2/jobs/{id}/trace — documented in docs/openapi.yaml
-// and wrapped by the fusionclient SDK and the fusionctl CLI.
+// The /v1 routes translate the same handlers for curl: options as query
+// parameters, the HSIC cube as the raw body, bare {"error": "message"}
+// bodies, and GET /v1/jobs/{id}?image=1 inlining the composite as base64
+// PNG.
 //
 // Durable mode (-spool /var/fusion/spool -journal /var/fusion/journal)
 // persists the scene catalog and a write-ahead job journal so scenes

@@ -20,21 +20,21 @@ func fastRealConfig(nodes int) Config {
 	}
 }
 
-// TestEpochBumpOverTCPDedupe is the satellite-4 scenario: a whole group
-// dies and is regenerated over real sockets. The restart bumps the
-// group's epoch, and the manager's dedupe state — which saw the old
-// incarnation's sequence numbers — must accept the fresh incarnation's
-// traffic (epoch reset) instead of filtering it as duplicate, no matter
-// how frames interleave across the reconnecting senders' connections.
+// TestEpochBumpOverTCPDedupe: a remote group dies whole and is
+// regenerated over the cluster transport's real sockets. The restart
+// bumps the group's epoch, and the manager's dedupe state — which saw
+// the old incarnation's sequence numbers — must accept the fresh
+// incarnation's traffic (epoch reset) instead of filtering it as
+// duplicate, no matter how frames interleave on the worker connections.
+//
+// Both replicas live in one worker process, and the group dies by that
+// process going away. Remote kills are asynchronous, so killing the
+// replicas one by one could let the guardian regenerate the first from
+// a survivor that is already dying — the documented state-transfer
+// timeout fallback, not a whole-group loss.
 func TestEpochBumpOverTCPDedupe(t *testing.T) {
-	sys, err := scplib.NewTCPSystem("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := New(sys, fastRealConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rt, ws := clusterHarness(t, 3, fastRealConfig(4))
+	host := ws[0].Node()
 
 	round1Done := make(chan struct{})
 	var round2Replies int
@@ -90,7 +90,7 @@ func TestEpochBumpOverTCPDedupe(t *testing.T) {
 	if err := rt.AddSingleton(mgrLID, "manager", 0, mgr); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.AddGroup(1, "worker", []int{1, 2}, workerBody); err != nil {
+	if err := rt.AddGroupRemote(1, "worker", []int{host, host}, workerBody, "echo", nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := rt.Start(); err != nil {
@@ -98,9 +98,9 @@ func TestEpochBumpOverTCPDedupe(t *testing.T) {
 	}
 	go func() {
 		<-round1Done
-		// SIGKILL analog for both replicas: the full group is lost at once.
-		rt.KillReplica(1, 0)
-		rt.KillReplica(1, 1)
+		// SIGKILL analog for the hosting process: the full group is lost
+		// at once.
+		ws[0].Shutdown()
 	}()
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)

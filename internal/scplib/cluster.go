@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -29,8 +30,8 @@ import (
 // connection speed even while surviving replicas are deep in a kernel.
 //
 // Cluster frame layout (little-endian): length uint32 of the remainder,
-// ftype uint8, then a type-specific body. cfMsg bodies reuse the
-// TCPSystem message layout (from, to, kind, seq, payload).
+// ftype uint8, then a type-specific body. cfMsg bodies carry one
+// message: from int32, to int32, kind uint16, seq uint64, payload.
 type ClusterSystem struct {
 	*RealSystem
 
@@ -86,6 +87,12 @@ const (
 	cfExit
 	cfPing
 )
+
+// frameHeaderBytes is the fixed cfMsg body prefix before the payload.
+const frameHeaderBytes = 4 + 4 + 2 + 8
+
+// maxFramePayload guards against corrupt length words.
+const maxFramePayload = 1 << 30
 
 // clusterProtoVersion gates hello exchanges so a stale fusionworkerd
 // build fails loudly instead of desynchronizing the frame stream.
@@ -487,25 +494,36 @@ func writeClusterFrame(w io.Writer, ftype uint8, body []byte) error {
 	return err
 }
 
-// readClusterFrame decodes one frame, enforcing the same corrupt-length
-// guard as the TCPSystem's readFrame.
+// frameChunk bounds how far readClusterFrame trusts a length word: the
+// body grows a chunk at a time as its bytes arrive, so a peer that
+// claims a huge frame and then stalls pins what it sent, not what it
+// claimed.
+const frameChunk = 1 << 20
+
+// readClusterFrame decodes one frame, rejecting a corrupt length word
+// before allocating its body.
 func readClusterFrame(r io.Reader) (uint8, []byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(lenBuf[:])
+	n := int(binary.LittleEndian.Uint32(lenBuf[:]))
 	if n < 1 || n > maxFramePayload {
 		return 0, nil, fmt.Errorf("scplib: bad cluster frame length %d", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	body := make([]byte, 0, min(n, frameChunk))
+	for len(body) < n {
+		chunk := min(n-len(body), frameChunk)
+		body = slices.Grow(body, chunk)
+		if _, err := io.ReadFull(r, body[len(body):len(body)+chunk]); err != nil {
+			return 0, nil, err
+		}
+		body = body[:len(body)+chunk]
 	}
 	return body[0], body[1:], nil
 }
 
-// encodeMsgBody lays a Message out exactly like the TCPSystem frame body.
+// encodeMsgBody lays a Message out as a cfMsg body.
 func encodeMsgBody(m *Message) []byte {
 	buf := make([]byte, frameHeaderBytes+len(m.Payload))
 	binary.LittleEndian.PutUint32(buf[0:], uint32(m.From))

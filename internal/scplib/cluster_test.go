@@ -3,6 +3,7 @@ package scplib
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -374,5 +375,112 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool, msg string) {
 			t.Fatal(msg)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// startCluster opens a coordinator with one slot per registry, connects a
+// worker for each, and waits until all of them are live.
+func startCluster(t *testing.T, regs ...*BodyRegistry) *ClusterSystem {
+	t.Helper()
+	sys, err := NewClusterSystem("", len(regs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	sys.Serve()
+	for _, reg := range regs {
+		testWorker(t, sys.Addr(), reg)
+	}
+	for deadline := time.Now().Add(2 * time.Second); sys.LiveWorkers() < len(regs); {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers never connected: %d live", sys.LiveWorkers())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return sys
+}
+
+// runWithin runs sys and fails the test if the run errs or outlasts limit.
+func runWithin(t *testing.T, sys *ClusterSystem, limit time.Duration) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- sys.Run() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(limit):
+		t.Fatal("cluster run hung")
+	}
+}
+
+// TestTCPFIFOAndLargePayloads streams 128 KiB messages through a remote
+// echo thread: each frame spans several buffered reads and writes on both
+// hops of the socket, and the replies must come back whole and in order.
+func TestTCPFIFOAndLargePayloads(t *testing.T) {
+	sys := startCluster(t, echoRegistry())
+	if err := sys.Spawn(ThreadSpec{ID: 11, Name: "echo", Node: 1, Remote: &RemoteBody{Kind: "echo"}}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 40
+	payload := make([]byte, 128*1024)
+	err := sys.Spawn(ThreadSpec{ID: 1, Name: "src", Body: func(env Env) error {
+		for i := 0; i < n; i++ {
+			if err := env.Send(11, 1, append([]byte{byte(i)}, payload...)); err != nil {
+				return err
+			}
+		}
+		for i := 0; i < n; i++ {
+			m, err := env.RecvTimeout(5)
+			if err != nil {
+				return err
+			}
+			if len(m.Payload) != 1+len(payload) {
+				return fmt.Errorf("payload truncated: %d bytes", len(m.Payload))
+			}
+			if int(m.Payload[0]) != i {
+				return fmt.Errorf("out of order at %d: got %d", i, m.Payload[0])
+			}
+		}
+		return env.Send(11, 99, nil)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runWithin(t, sys, 10*time.Second)
+}
+
+// TestTCPDropsToDeadThread sends to a thread that exists nowhere, once
+// from a local thread and once from a remote one whose message crosses
+// the socket first: both are dropped and counted, neither fails its
+// sender.
+func TestTCPDropsToDeadThread(t *testing.T) {
+	reg := NewBodyRegistry()
+	reg.Register("stray", func(args []byte) (Body, error) {
+		return func(env Env) error {
+			return env.Send(42, 1, []byte("nobody home"))
+		}, nil
+	})
+	sys := startCluster(t, reg)
+	if err := sys.Spawn(ThreadSpec{ID: 1, Name: "local", Body: func(env Env) error {
+		return env.Send(42, 1, []byte("nobody home"))
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Spawn(ThreadSpec{ID: 11, Name: "stray", Node: 1, Remote: &RemoteBody{Kind: "stray"}}); err != nil {
+		t.Fatal(err)
+	}
+	runWithin(t, sys, 10*time.Second)
+	// The remote drop is counted when the coordinator dispatches the frame,
+	// which may trail the thread's exit report.
+	for deadline := time.Now().Add(2 * time.Second); sys.Dropped() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("dropped = %d, want 2", sys.Dropped())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := sys.Dropped(); got != 2 {
+		t.Fatalf("dropped = %d, want 2", got)
 	}
 }

@@ -133,6 +133,30 @@ func DialCluster(addr string, window time.Duration, reg *BodyRegistry) (*Cluster
 	return w, nil
 }
 
+// dialRetry dials addr, retrying transient failures with capped
+// exponential backoff until the window elapses. The first attempt is
+// always made; the last error is returned once the window is spent.
+func dialRetry(addr string, window time.Duration) (net.Conn, error) {
+	deadline := time.Now().Add(window)
+	delay := 25 * time.Millisecond
+	const maxDelay = time.Second
+	for {
+		c, err := net.Dial("tcp", addr)
+		if err == nil {
+			return c, nil
+		}
+		if remain := time.Until(deadline); remain <= 0 {
+			return nil, fmt.Errorf("scplib: dial %s: %w", addr, err)
+		} else if delay > remain {
+			delay = remain
+		}
+		time.Sleep(delay)
+		if delay *= 2; delay > maxDelay {
+			delay = maxDelay
+		}
+	}
+}
+
 // Node returns the slot the coordinator assigned this worker.
 func (w *ClusterWorker) Node() int { return w.node }
 

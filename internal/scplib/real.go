@@ -28,8 +28,8 @@ type RealSystem struct {
 	// MailboxDepth is the per-thread channel buffer (default 4096).
 	MailboxDepth int
 	// sendVia, when set, replaces direct channel delivery with an
-	// external transport (the TCP system); the transport re-enters via
-	// deliverLocal.
+	// external transport (the cluster coordinator or worker); the
+	// transport re-enters via deliverLocal.
 	sendVia func(*Message) error
 	// onReap, when set, observes every thread leaving the table after its
 	// body returned (the cluster worker reports exits to its coordinator

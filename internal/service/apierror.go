@@ -2,10 +2,12 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
+	"resilientfusion/internal/scene"
 )
 
 // Stable machine-readable error codes of the v2 API. They are part of
@@ -60,9 +62,37 @@ type errorEnvelope struct {
 	Error apiErrorJSON `json:"error"`
 }
 
-// errorCode maps a service error to its stable v2 code and HTTP status.
-// Unrecognized errors are internal: handlers that know better (request
-// parse failures, for instance) pass an explicit code instead.
+// Request-level failure classes that have no Pool sentinel of their
+// own. Handlers raise them through reject; errorCode maps them.
+var (
+	// errBadPayload: the request body is malformed (multipart framing,
+	// undecodable cube).
+	errBadPayload = errors.New("service: malformed request body")
+	// errJobNotFinished: a result was requested before the job ended.
+	errJobNotFinished = errors.New("service: job not finished")
+	// errJobFailed: a result was requested for a failed job.
+	errJobFailed = errors.New("service: job failed")
+)
+
+// requestError is a failure a handler detected itself: errorCode
+// classifies it by kind, while clients read only msg.
+type requestError struct {
+	kind error
+	msg  string
+}
+
+func (e *requestError) Error() string { return e.msg }
+func (e *requestError) Unwrap() error { return e.kind }
+
+// reject builds a requestError of the given class.
+func reject(kind error, format string, args ...any) error {
+	return &requestError{kind: kind, msg: fmt.Sprintf(format, args...)}
+}
+
+// errorCode maps an error to its stable code and HTTP status. It is the
+// service's whole error policy: both API versions take their status from
+// here, and only the body shape differs between them. Unrecognized
+// errors are server-side faults.
 func errorCode(err error) (string, int) {
 	switch {
 	case errors.Is(err, core.ErrBadOptions):
@@ -75,13 +105,17 @@ func errorCode(err error) (string, int) {
 		return CodeUnknownJob, http.StatusNotFound
 	case errors.Is(err, ErrJobNotCancelable):
 		return CodeJobNotCancelable, http.StatusConflict
+	case errors.Is(err, errJobNotFinished):
+		return CodeJobNotFinished, http.StatusConflict
+	case errors.Is(err, errJobFailed):
+		return CodeJobFailed, http.StatusConflict
 	case errors.Is(err, ErrUnknownScene):
 		return CodeUnknownScene, http.StatusNotFound
 	case errors.Is(err, ErrSceneLimit):
 		return CodeSceneLimit, http.StatusServiceUnavailable
 	case errors.Is(err, ErrSceneTooLarge), errors.Is(err, hsi.ErrCubeTooLarge):
 		return CodePayloadTooLarge, http.StatusRequestEntityTooLarge
-	case errors.Is(err, ErrScenePayload):
+	case errors.Is(err, errBadPayload), errors.Is(err, ErrScenePayload), errors.Is(err, scene.ErrHeader):
 		return CodeBadPayload, http.StatusBadRequest
 	case errors.Is(err, ErrNoSceneResult):
 		return CodeNoSceneResult, http.StatusNotFound
@@ -91,10 +125,14 @@ func errorCode(err error) (string, int) {
 	return CodeInternal, http.StatusInternalServerError
 }
 
-// writeAPIError maps err through errorCode and writes the envelope.
-func writeAPIError(w http.ResponseWriter, err error) {
-	code, status := errorCode(err)
-	writeAPIErrorCode(w, status, code, err.Error())
+// errorRenderer writes a failed request's response body in one API
+// version's shape, with the status errorCode assigns.
+type errorRenderer func(w http.ResponseWriter, err error)
+
+// writeError renders v1's bare {"error": "message"} body.
+func writeError(w http.ResponseWriter, err error) {
+	_, status := errorCode(err)
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 // queueFullRetryAfter is the Retry-After hint (in seconds) sent with
@@ -103,10 +141,11 @@ func writeAPIError(w http.ResponseWriter, err error) {
 // fusionclient surfaces the hint as APIError.RetryAfter.
 const queueFullRetryAfter = "1"
 
-// writeAPIErrorCode writes the envelope with an explicit status and code.
-func writeAPIErrorCode(w http.ResponseWriter, status int, code, message string) {
+// writeAPIError renders v2's structured envelope.
+func writeAPIError(w http.ResponseWriter, err error) {
+	code, status := errorCode(err)
 	if code == CodeQueueFull {
 		w.Header().Set("Retry-After", queueFullRetryAfter)
 	}
-	writeJSON(w, status, errorEnvelope{Error: apiErrorJSON{Code: code, Message: message}})
+	writeJSON(w, status, errorEnvelope{Error: apiErrorJSON{Code: code, Message: err.Error()}})
 }

@@ -1,9 +1,9 @@
 package service
 
 import (
+	"encoding/base64"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -98,7 +98,7 @@ func statusJSON(st JobStatus) *jobJSON {
 // duplicated keys are rejected rather than ignored (a typo like
 // granularty=8 must fail loudly, not silently run the defaults) — and
 // the keys come back sorted, so multi-error requests fail on a
-// deterministic key. Shared by v1's option parsing and the v2 handlers.
+// deterministic key.
 func queryKeys(q map[string][]string, allowed ...string) ([]string, error) {
 	keys := make([]string, 0, len(q))
 	for key := range q {
@@ -107,13 +107,261 @@ func queryKeys(q map[string][]string, allowed ...string) ([]string, error) {
 	sort.Strings(keys)
 	for _, key := range keys {
 		if len(q[key]) > 1 {
-			return nil, fmt.Errorf("option %q given %d times", key, len(q[key]))
+			return nil, reject(core.ErrBadOptions, "option %q given %d times", key, len(q[key]))
 		}
 		if !slices.Contains(allowed, key) {
-			return nil, fmt.Errorf("unknown option %q (valid: %s)", key, strings.Join(allowed, ", "))
+			valid := "this endpoint takes no query parameters"
+			if len(allowed) > 0 {
+				valid = "valid: " + strings.Join(allowed, ", ")
+			}
+			return nil, reject(core.ErrBadOptions, "unknown option %q (%s)", key, valid)
 		}
 	}
 	return keys, nil
+}
+
+// noQuery rejects any query parameter on endpoints that take none.
+func noQuery(r *http.Request) error {
+	_, err := queryKeys(r.URL.Query())
+	return err
+}
+
+func writeJSON(w http.ResponseWriter, code int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// op is one API operation, shared by both versions where they agree. It
+// returns the success status and body — JSON, pngBytes, or nil for a
+// bare status — or the error the version's renderer writes.
+type op func(r *http.Request) (int, any, error)
+
+// pngBytes is an op body served as image/png.
+type pngBytes []byte
+
+// serve adapts an op to one API version's error renderer.
+func serve(fail errorRenderer, o op) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		status, body, err := o(r)
+		if err != nil {
+			fail(w, err)
+			return
+		}
+		switch b := body.(type) {
+		case nil:
+			w.WriteHeader(status)
+		case pngBytes:
+			w.Header().Set("Content-Type", "image/png")
+			w.WriteHeader(status)
+			_, _ = w.Write(b)
+		default:
+			writeJSON(w, status, b)
+		}
+	}
+}
+
+// Handler exposes the pool over HTTP. Both API versions serve the same
+// operations; they differ only in where options come from (v1: query
+// parameters; v2: JSON), how a cube is uploaded (v1: raw HSIC body; v2:
+// multipart), and the error body (v1: {"error": "message"}; v2: the
+// {"error": {"code", "message"}} envelope). The status for every error
+// comes from errorCode in apierror.go.
+//
+//	POST   /v1/jobs                 HSIC cube body, options in the query
+//	                                (algorithm, components, granularity,
+//	                                parallelism, prefetch, threshold)
+//	                                → 202 {id, state}
+//	GET    /v1/jobs/{id}            job status/result (?image=1 adds the
+//	                                composite as base64 PNG)
+//	GET    /v1/stats                queue depth, cache hit rate, throughput
+//	POST   /v1/scenes               register an ENVI scene: multipart
+//	                                "header" part (ENVI .hdr text) then
+//	                                "data" part (raw payload), spooled to
+//	                                disk, never to memory → 201 scene info
+//	GET    /v1/scenes               list registered scenes
+//	GET    /v1/scenes/{id}          scene info
+//	DELETE /v1/scenes/{id}          unregister + delete the spool
+//	POST   /v1/scenes/{id}/fuse     fuse the whole scene (same option
+//	                                query as /v1/jobs) → 202 job with
+//	                                per-tile progress
+//	GET    /v1/scenes/{id}/result   latest completed composite as image/png
+//	GET    /metrics                 Prometheus text exposition
+//
+// The v2 resource API adds job listing, cancellation, long-poll,
+// content-negotiated results and traces — see registerV2.
+func (p *Pool) Handler() http.Handler {
+	mux := http.NewServeMux()
+	v1 := func(o op) http.HandlerFunc { return serve(writeError, o) }
+	mux.HandleFunc("POST /v1/jobs", v1(p.submitJob(v1JobRequest)))
+	mux.HandleFunc("GET /v1/jobs/{id}", v1(p.getJob("image")))
+	mux.HandleFunc("GET /v1/stats", v1(p.stats))
+	mux.HandleFunc("POST /v1/scenes", v1(p.registerScene))
+	mux.HandleFunc("GET /v1/scenes", v1(p.listScenes))
+	mux.HandleFunc("GET /v1/scenes/{id}", v1(p.getScene))
+	mux.HandleFunc("DELETE /v1/scenes/{id}", v1(p.removeScene))
+	mux.HandleFunc("POST /v1/scenes/{id}/fuse", v1(p.fuseScene(optionsFromQuery)))
+	mux.HandleFunc("GET /v1/scenes/{id}/result", v1(p.sceneResult))
+	mux.Handle("GET /metrics", p.metrics.reg.Handler())
+
+	p.registerV2(mux)
+	// Every route (both API versions, /metrics itself) reports into the
+	// route×status latency histogram.
+	return p.httpMiddleware(mux)
+}
+
+// submitJob admits one cube job read by the version's decode.
+func (p *Pool) submitJob(decode func(*http.Request) (*hsi.Cube, core.Options, error)) op {
+	return func(r *http.Request) (int, any, error) {
+		cube, opts, err := decode(r)
+		if err != nil {
+			return 0, nil, err
+		}
+		st, err := p.Submit(cube, opts)
+		if err != nil {
+			return 0, nil, err
+		}
+		return http.StatusAccepted, statusJSON(st), nil
+	}
+}
+
+// getJob serves a job resource. knob is the one query parameter the
+// version takes: v2's ?wait= long-polls (see waitJob); v1's ?image=1
+// inlines the composite as base64 PNG.
+func (p *Pool) getJob(knob string) op {
+	return func(r *http.Request) (int, any, error) {
+		id := r.PathValue("id")
+		q := r.URL.Query()
+		if _, err := queryKeys(q, knob); err != nil {
+			return 0, nil, err
+		}
+		var st JobStatus
+		var err error
+		if q.Has("wait") {
+			st, err = p.waitJob(r, id, q.Get("wait"))
+		} else {
+			st, err = p.Status(id)
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		body := statusJSON(st)
+		if q.Get("image") == "1" && body.Result != nil && st.State == StateDone {
+			data, err := p.ImagePNG(st.ID)
+			if err != nil {
+				return 0, nil, err
+			}
+			body.Result.ImagePNG = base64.StdEncoding.EncodeToString(data)
+		}
+		return http.StatusOK, body, nil
+	}
+}
+
+func (p *Pool) stats(r *http.Request) (int, any, error) {
+	return http.StatusOK, p.Stats(), noQuery(r)
+}
+
+func (p *Pool) registerScene(r *http.Request) (int, any, error) {
+	if err := noQuery(r); err != nil {
+		return 0, nil, err
+	}
+	info, err := p.sceneFromMultipart(r)
+	return http.StatusCreated, info, err
+}
+
+func (p *Pool) listScenes(r *http.Request) (int, any, error) {
+	return http.StatusOK, map[string]any{"scenes": p.Scenes()}, noQuery(r)
+}
+
+func (p *Pool) getScene(r *http.Request) (int, any, error) {
+	if err := noQuery(r); err != nil {
+		return 0, nil, err
+	}
+	info, err := p.Scene(r.PathValue("id"))
+	return http.StatusOK, info, err
+}
+
+func (p *Pool) removeScene(r *http.Request) (int, any, error) {
+	if err := noQuery(r); err != nil {
+		return 0, nil, err
+	}
+	return http.StatusNoContent, nil, p.RemoveScene(r.PathValue("id"))
+}
+
+// fuseScene enqueues a whole-scene fusion with options read by the
+// version's decode.
+func (p *Pool) fuseScene(decode func(*http.Request) (core.Options, error)) op {
+	return func(r *http.Request) (int, any, error) {
+		opts, err := decode(r)
+		if err != nil {
+			return 0, nil, err
+		}
+		st, err := p.FuseScene(r.PathValue("id"), opts)
+		if err != nil {
+			return 0, nil, err
+		}
+		return http.StatusAccepted, statusJSON(st), nil
+	}
+}
+
+// sceneResult serves the scene's latest completed composite.
+func (p *Pool) sceneResult(r *http.Request) (int, any, error) {
+	if err := noQuery(r); err != nil {
+		return 0, nil, err
+	}
+	data, err := p.SceneResultPNG(r.PathValue("id"))
+	return http.StatusOK, pngBytes(data), err
+}
+
+// readUploadCube decodes an uploaded HSIC cube. ReadCubeLimit bounds the
+// upload by the header's claimed dimensions before allocating (a 20-byte
+// request must not demand a terabyte) and then reads exactly the claimed
+// bytes, so no separate body cap is needed.
+func readUploadCube(r io.Reader) (*hsi.Cube, error) {
+	cube, err := hsi.ReadCubeLimit(r, maxCubeBytes)
+	switch {
+	case errors.Is(err, hsi.ErrCubeTooLarge):
+		return nil, reject(hsi.ErrCubeTooLarge, "cube exceeds the %d-byte upload limit", maxCubeBytes)
+	case err != nil:
+		return nil, reject(errBadPayload, "decoding cube: %v", err)
+	}
+	return cube, nil
+}
+
+// sceneFromMultipart parses the two-part scene upload — a "header" part
+// of ENVI header text, then a "data" part streaming the raw payload —
+// and registers it. The header part is read fully (it is a page of
+// text); the data part flows straight to the spool.
+func (p *Pool) sceneFromMultipart(r *http.Request) (SceneInfo, error) {
+	mr, err := r.MultipartReader()
+	if err != nil {
+		return SceneInfo{}, reject(errBadPayload, "multipart body required: %v", err)
+	}
+	hdrPart, err := mr.NextPart()
+	if err != nil || hdrPart.FormName() != "header" {
+		return SceneInfo{}, reject(errBadPayload, `first multipart part must be "header" (ENVI header text)`)
+	}
+	// An ENVI header is a page of text; 1 MiB is generous.
+	hdrText, err := io.ReadAll(io.LimitReader(hdrPart, 1<<20))
+	if err != nil {
+		return SceneInfo{}, reject(errBadPayload, "reading header part: %v", err)
+	}
+	dataPart, err := mr.NextPart()
+	if err != nil || dataPart.FormName() != "data" {
+		return SceneInfo{}, reject(errBadPayload, `second multipart part must be "data" (raw scene payload)`)
+	}
+	return p.RegisterScene(string(hdrText), dataPart)
+}
+
+// v1JobRequest reads a v1 submission: options in the query, the HSIC
+// cube as the raw body.
+func v1JobRequest(r *http.Request) (*hsi.Cube, core.Options, error) {
+	opts, err := optionsFromQuery(r)
+	if err != nil {
+		return nil, opts, err
+	}
+	cube, err := readUploadCube(r.Body)
+	return cube, opts, err
 }
 
 // optionsFromQuery builds per-job options from request query parameters
@@ -140,7 +388,7 @@ func optionsFromQuery(r *http.Request) (core.Options, error) {
 		if field, ok := intKnobs[key]; ok {
 			v, err := strconv.Atoi(s)
 			if err != nil {
-				return core.Options{}, fmt.Errorf("bad %s %q", key, s)
+				return core.Options{}, reject(core.ErrBadOptions, "bad %s %q", key, s)
 			}
 			*field = &v
 			continue
@@ -152,246 +400,12 @@ func optionsFromQuery(r *http.Request) (core.Options, error) {
 		}
 		// threshold is the only non-int knob. NaN/Inf are re-checked in
 		// OptionsJSON.Options, but rejecting them here keeps the v1
-		// error string quoting the client's raw input, byte-identical
-		// to the historical parser.
+		// error string quoting the client's raw input.
 		v, err := strconv.ParseFloat(s, 64)
 		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-			return core.Options{}, fmt.Errorf("bad threshold %q", s)
+			return core.Options{}, reject(core.ErrBadOptions, "bad threshold %q", s)
 		}
 		oj.Threshold = &v
 	}
 	return oj.Options()
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// Handler exposes the pool as an HTTP API:
-//
-//	POST /v1/jobs        submit an HSIC-encoded cube (body) with options
-//	                     in query params (granularity, prefetch,
-//	                     threshold, components, parallelism) →
-//	                     202 {id, state}
-//	GET  /v1/jobs/{id}   job status/result (?image=1 adds base64 PNG)
-//	GET  /v1/stats       queue depth, cache hit rate, throughput
-//	GET  /metrics        Prometheus text exposition of the pool registry
-//
-// Scene endpoints (whole-scene streaming fusion):
-//
-//	POST   /v1/scenes               register an ENVI scene: multipart
-//	                                form with a "header" part (ENVI .hdr
-//	                                text, first) and a "data" part (raw
-//	                                payload in the header's interleave);
-//	                                the payload spools to disk, never to
-//	                                memory → 201 scene info
-//	GET    /v1/scenes               list registered scenes
-//	GET    /v1/scenes/{id}          scene info
-//	DELETE /v1/scenes/{id}          unregister + delete the spool
-//	POST   /v1/scenes/{id}/fuse     fuse the whole scene through the
-//	                                worker pool (same option params as
-//	                                /v1/jobs) → 202 job with per-tile
-//	                                progress; poll GET /v1/jobs/{id}
-//	GET    /v1/scenes/{id}/result   composite of the latest completed
-//	                                fusion as image/png
-//
-// The same handler also serves the v2 resource API — JSON option bodies,
-// structured error envelope, job listing, long-poll, content-negotiated
-// results — see registerV2 in http_v2.go.
-func (p *Pool) Handler() http.Handler {
-	mux := http.NewServeMux()
-
-	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		opts, err := optionsFromQuery(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		// ReadCubeLimit bounds the upload by the header's claimed
-		// dimensions before allocating (a 20-byte request must not
-		// demand a terabyte) and then reads exactly the claimed bytes,
-		// so no separate body cap is needed.
-		cube, err := hsi.ReadCubeLimit(r.Body, maxCubeBytes)
-		if err != nil {
-			if errors.Is(err, hsi.ErrCubeTooLarge) {
-				writeError(w, http.StatusRequestEntityTooLarge,
-					fmt.Errorf("cube exceeds the %d-byte upload limit", maxCubeBytes))
-				return
-			}
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding cube: %w", err))
-			return
-		}
-		st, err := p.Submit(cube, opts)
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, statusJSON(st))
-	})
-
-	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		st, err := p.Status(r.PathValue("id"))
-		switch {
-		case errors.Is(err, ErrUnknownJob):
-			writeError(w, http.StatusNotFound, err)
-			return
-		case err != nil:
-			// Any other Status failure must not serialize a zero-value
-			// snapshot as a healthy 200.
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		body := statusJSON(st)
-		if r.URL.Query().Get("image") == "1" && body.Result != nil && st.State == StateDone {
-			b64, err := p.ImagePNGBase64(st.ID)
-			switch {
-			case errors.Is(err, ErrImageExpired):
-				writeError(w, http.StatusGone, err)
-				return
-			case err != nil:
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
-			body.Result.ImagePNG = b64
-		}
-		writeJSON(w, http.StatusOK, body)
-	})
-
-	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, p.Stats())
-	})
-
-	mux.HandleFunc("POST /v1/scenes", func(w http.ResponseWriter, r *http.Request) {
-		info, err := p.sceneFromMultipart(r)
-		switch {
-		case errors.Is(err, ErrSceneTooLarge):
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return
-		case errors.Is(err, ErrSceneLimit):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, info)
-	})
-
-	mux.HandleFunc("GET /v1/scenes", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]any{"scenes": p.Scenes()})
-	})
-
-	mux.HandleFunc("GET /v1/scenes/{id}", func(w http.ResponseWriter, r *http.Request) {
-		info, err := p.Scene(r.PathValue("id"))
-		if errors.Is(err, ErrUnknownScene) {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
-	})
-
-	mux.HandleFunc("DELETE /v1/scenes/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if err := p.RemoveScene(r.PathValue("id")); err != nil {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-
-	mux.HandleFunc("POST /v1/scenes/{id}/fuse", func(w http.ResponseWriter, r *http.Request) {
-		opts, err := optionsFromQuery(r)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		st, err := p.FuseScene(r.PathValue("id"), opts)
-		switch {
-		case errors.Is(err, ErrUnknownScene):
-			writeError(w, http.StatusNotFound, err)
-			return
-		case errors.Is(err, ErrQueueFull), errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, statusJSON(st))
-	})
-
-	mux.HandleFunc("GET /v1/scenes/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		data, err := p.SceneResultPNG(r.PathValue("id"))
-		switch {
-		case errors.Is(err, ErrUnknownScene), errors.Is(err, ErrNoSceneResult), errors.Is(err, ErrUnknownJob):
-			writeError(w, http.StatusNotFound, err)
-			return
-		case errors.Is(err, ErrImageExpired):
-			writeError(w, http.StatusGone, err)
-			return
-		case err != nil:
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "image/png")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
-	})
-
-	mux.Handle("GET /metrics", p.metrics.reg.Handler())
-
-	p.registerV2(mux)
-	// Every route (both API versions, /metrics itself) reports into the
-	// route×status latency histogram.
-	return p.httpMiddleware(mux)
-}
-
-// uploadFormatError marks a malformed multipart upload — client-caused,
-// distinct from server-side registration failures. Error() is the bare
-// message, so v1's bare-string error responses are byte-identical to
-// the historical inline handler; v2 classifies it as bad_payload.
-type uploadFormatError struct{ msg string }
-
-func (e *uploadFormatError) Error() string { return e.msg }
-
-// sceneFromMultipart parses the two-part scene upload — a "header" part
-// of ENVI header text, then a "data" part streaming the raw payload —
-// and registers it. The header part is read fully (it is a page of
-// text); the data part flows straight to the spool. Framing failures
-// come back as *uploadFormatError; everything else is RegisterScene's
-// error surface.
-func (p *Pool) sceneFromMultipart(r *http.Request) (SceneInfo, error) {
-	mr, err := r.MultipartReader()
-	if err != nil {
-		return SceneInfo{}, &uploadFormatError{msg: fmt.Sprintf("multipart body required: %v", err)}
-	}
-	hdrPart, err := mr.NextPart()
-	if err != nil || hdrPart.FormName() != "header" {
-		return SceneInfo{}, &uploadFormatError{msg: `first multipart part must be "header" (ENVI header text)`}
-	}
-	// An ENVI header is a page of text; 1 MiB is generous.
-	hdrText, err := io.ReadAll(io.LimitReader(hdrPart, 1<<20))
-	if err != nil {
-		return SceneInfo{}, &uploadFormatError{msg: fmt.Sprintf("reading header part: %v", err)}
-	}
-	dataPart, err := mr.NextPart()
-	if err != nil || dataPart.FormName() != "data" {
-		return SceneInfo{}, &uploadFormatError{msg: `second multipart part must be "data" (raw scene payload)`}
-	}
-	return p.RegisterScene(string(hdrText), dataPart)
 }

@@ -8,12 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
+	"resilientfusion/internal/scene"
 )
 
 func postCube(t *testing.T, client *http.Client, url string, cube *hsi.Cube) *http.Response {
@@ -270,4 +273,125 @@ func TestHTTPExpiredImage(t *testing.T) {
 	if job.State != StateDone || job.Result == nil {
 		t.Errorf("scalar status after expiry: %+v", job)
 	}
+}
+
+// TestV1ServerFaultsAre500 pins v1's error policy for server-side
+// failures: a journal or catalog that cannot be written, or a spool that
+// cannot be read or written, answers 500 with v1's bare {"error": "..."}
+// body — never a 4xx telling the client its request was wrong — and the
+// already-registered scene stays listed.
+func TestV1ServerFaultsAre500(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(t *testing.T, p *Pool, sceneID string)
+		do    func(t *testing.T, client *http.Client, base, sceneID string) *http.Response
+	}{
+		{
+			name:  "remove scene, catalog unwritable",
+			fault: func(_ *testing.T, p *Pool, _ string) { p.catalog.Close() },
+			do: func(t *testing.T, client *http.Client, base, id string) *http.Response {
+				r, err := client.Do(mustReq(t, http.MethodDelete, base+"/v1/scenes/"+id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			},
+		},
+		{
+			name:  "submit cube, journal unwritable",
+			fault: func(_ *testing.T, p *Pool, _ string) { p.journal.Close() },
+			do: func(t *testing.T, client *http.Client, base, _ string) *http.Response {
+				return postCube(t, client, base+"/v1/jobs", testCube(t, 3))
+			},
+		},
+		{
+			name:  "fuse scene, journal unwritable",
+			fault: func(_ *testing.T, p *Pool, _ string) { p.journal.Close() },
+			do:    postFuse,
+		},
+		{
+			name: "fuse scene, spool payload unreadable",
+			fault: func(t *testing.T, p *Pool, id string) {
+				if err := os.Remove(filepath.Join(p.spoolDir, id+".raw")); err != nil {
+					t.Fatal(err)
+				}
+			},
+			do: postFuse,
+		},
+		{
+			name:  "register scene, catalog unwritable",
+			fault: func(_ *testing.T, p *Pool, _ string) { p.catalog.Close() },
+			do:    postSmallScene,
+		},
+		{
+			name: "register scene, spool unwritable",
+			fault: func(t *testing.T, p *Pool, _ string) {
+				if err := os.RemoveAll(p.spoolDir); err != nil {
+					t.Fatal(err)
+				}
+			},
+			do: postSmallScene,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool, err := NewPool(durableConfig(t.TempDir()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			srv := httptest.NewServer(pool.Handler())
+			defer srv.Close()
+			client := srv.Client()
+
+			hdr, data := enviPayload(t, testCube(t, 62), scene.BIP)
+			info, err := pool.RegisterScene(hdr, bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.fault(t, pool, info.ID)
+
+			resp := tc.do(t, client, srv.URL, info.ID)
+			body, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("status %d, want 500 (body %s)", resp.StatusCode, body)
+			}
+			var bare map[string]string
+			if err := json.Unmarshal(body, &bare); err != nil || len(bare) != 1 || bare["error"] == "" {
+				t.Fatalf("body %s is not v1's bare {\"error\": \"...\"} (%v)", body, err)
+			}
+
+			r, err := client.Get(srv.URL + "/v1/scenes")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var listing struct{ Scenes []SceneInfo }
+			err = json.NewDecoder(r.Body).Decode(&listing)
+			r.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(listing.Scenes) != 1 || listing.Scenes[0].ID != info.ID {
+				t.Fatalf("scene listing after the fault: %+v, want only %s", listing.Scenes, info.ID)
+			}
+		})
+	}
+}
+
+func postFuse(t *testing.T, client *http.Client, base, sceneID string) *http.Response {
+	t.Helper()
+	r, err := client.Post(base+"/v1/scenes/"+sceneID+"/fuse?threshold=0.05", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+func postSmallScene(t *testing.T, client *http.Client, base, _ string) *http.Response {
+	t.Helper()
+	hdr, data := enviPayload(t, hsi.MustNewCube(4, 4, 2), scene.BIL)
+	return postScene(t, client, base+"/v1/scenes", hdr, data)
 }

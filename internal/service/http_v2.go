@@ -3,21 +3,19 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
-	"resilientfusion/internal/scene"
 )
 
-// registerV2 mounts the v2 resource API. It serves the same pool as v1
-// with a contract built for programs instead of curl sessions:
+// registerV2 mounts the v2 resource API. It serves the same pool and
+// operations as v1 with a contract built for programs instead of curl
+// sessions:
 //
 //   - Errors travel in a structured envelope {"error": {"code", "message"}}
 //     with stable machine-readable codes (apierror.go).
@@ -53,149 +51,82 @@ import (
 //	DELETE /v2/scenes/{id}          unregister + delete the spool
 //	POST   /v2/scenes/{id}/fuse     JSON options body → 202 job resource
 func (p *Pool) registerV2(mux *http.ServeMux) {
-	mux.HandleFunc("POST /v2/jobs", p.v2SubmitJob)
-	mux.HandleFunc("GET /v2/jobs", p.v2ListJobs)
-	mux.HandleFunc("GET /v2/jobs/{id}", p.v2GetJob)
-	mux.HandleFunc("DELETE /v2/jobs/{id}", p.v2CancelJob)
-	mux.HandleFunc("GET /v2/jobs/{id}/result", p.v2JobResult)
-	mux.HandleFunc("GET /v2/jobs/{id}/trace", p.v2JobTrace)
-	mux.HandleFunc("GET /v2/stats", func(w http.ResponseWriter, r *http.Request) {
-		if !v2NoQuery(w, r) {
-			return
-		}
-		writeJSON(w, http.StatusOK, p.Stats())
-	})
-	mux.HandleFunc("POST /v2/scenes", p.v2RegisterScene)
-	mux.HandleFunc("GET /v2/scenes", func(w http.ResponseWriter, r *http.Request) {
-		if !v2NoQuery(w, r) {
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"scenes": p.Scenes()})
-	})
-	mux.HandleFunc("GET /v2/scenes/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if !v2NoQuery(w, r) {
-			return
-		}
-		info, err := p.Scene(r.PathValue("id"))
-		if err != nil {
-			writeAPIError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, info)
-	})
-	mux.HandleFunc("DELETE /v2/scenes/{id}", func(w http.ResponseWriter, r *http.Request) {
-		if !v2NoQuery(w, r) {
-			return
-		}
-		if err := p.RemoveScene(r.PathValue("id")); err != nil {
-			writeAPIError(w, err)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	})
-	mux.HandleFunc("POST /v2/scenes/{id}/fuse", p.v2FuseScene)
+	v2 := func(o op) http.HandlerFunc { return serve(writeAPIError, o) }
+	mux.HandleFunc("POST /v2/jobs", v2(p.submitJob(v2JobRequest)))
+	mux.HandleFunc("GET /v2/jobs", v2(p.listJobs))
+	mux.HandleFunc("GET /v2/jobs/{id}", v2(p.getJob("wait")))
+	mux.HandleFunc("DELETE /v2/jobs/{id}", v2(p.cancelJob))
+	mux.HandleFunc("GET /v2/jobs/{id}/result", v2(p.jobResult))
+	mux.HandleFunc("GET /v2/jobs/{id}/trace", v2(p.jobTrace))
+	mux.HandleFunc("GET /v2/stats", v2(p.stats))
+	mux.HandleFunc("POST /v2/scenes", v2(p.registerScene))
+	mux.HandleFunc("GET /v2/scenes", v2(p.listScenes))
+	mux.HandleFunc("GET /v2/scenes/{id}", v2(p.getScene))
+	mux.HandleFunc("DELETE /v2/scenes/{id}", v2(p.removeScene))
+	mux.HandleFunc("POST /v2/scenes/{id}/fuse", v2(p.fuseScene(v2FuseOptions)))
 }
 
-// v2NoQuery rejects any query parameter on endpoints that take none —
-// the same no-silent-typos rule the option-bearing endpoints enforce.
-// It reports whether the handler may proceed.
-func v2NoQuery(w http.ResponseWriter, r *http.Request) bool {
-	q := r.URL.Query()
-	if len(q) == 0 {
-		return true
-	}
-	keys := make([]string, 0, len(q))
-	for key := range q {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
-	writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption,
-		fmt.Sprintf("unknown option %q (this endpoint takes no query parameters)", keys[0]))
-	return false
-}
-
-// v2SubmitJob accepts a multipart submission: an optional "options" part
-// holding the OptionsJSON body, then a "cube" part streaming the
-// HSIC-encoded cube.
-func (p *Pool) v2SubmitJob(w http.ResponseWriter, r *http.Request) {
-	// Options travel in the body on v2; a v1-style ?threshold=... here
-	// would otherwise be dropped silently.
-	if !v2NoQuery(w, r) {
-		return
+// v2JobRequest reads a v2 submission: an optional "options" part holding
+// the OptionsJSON body, then a "cube" part streaming the HSIC-encoded
+// cube. Options travel in the body on v2, so a v1-style ?threshold=...
+// is rejected rather than dropped silently.
+func v2JobRequest(r *http.Request) (*hsi.Cube, core.Options, error) {
+	var opts core.Options
+	if err := noQuery(r); err != nil {
+		return nil, opts, err
 	}
 	mr, err := r.MultipartReader()
 	if err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
-			fmt.Sprintf("multipart body required: %v", err))
-		return
+		return nil, opts, reject(errBadPayload, "multipart body required: %v", err)
 	}
 	part, err := mr.NextPart()
 	if err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
-			`multipart needs an optional "options" part then a "cube" part`)
-		return
+		return nil, opts, reject(errBadPayload, `multipart needs an optional "options" part then a "cube" part`)
 	}
-	var opts core.Options
 	if part.FormName() == "options" {
-		opts, err = decodeOptionsBody(part)
-		if err != nil {
-			writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
-			return
+		if opts, err = decodeOptionsBody(part); err != nil {
+			return nil, opts, err
 		}
 		if part, err = mr.NextPart(); err != nil {
-			writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
-				`"cube" part missing after "options"`)
-			return
+			return nil, opts, reject(errBadPayload, `"cube" part missing after "options"`)
 		}
 	}
 	if part.FormName() != "cube" {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
-			fmt.Sprintf(`unexpected multipart part %q (want "cube")`, part.FormName()))
-		return
+		return nil, opts, reject(errBadPayload, `unexpected multipart part %q (want "cube")`, part.FormName())
 	}
-	// ReadCubeLimit bounds the upload by the header's claimed dimensions
-	// before allocating, exactly like the v1 path.
-	cube, err := hsi.ReadCubeLimit(part, maxCubeBytes)
+	cube, err := readUploadCube(part)
 	if err != nil {
-		if errors.Is(err, hsi.ErrCubeTooLarge) {
-			writeAPIErrorCode(w, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
-				fmt.Sprintf("cube exceeds the %d-byte upload limit", maxCubeBytes))
-			return
-		}
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
-			fmt.Sprintf("decoding cube: %v", err))
-		return
+		return nil, opts, err
 	}
 	// Multipart form fields are unordered in general; a part trailing
 	// the cube (an out-of-place "options", say) would otherwise be
 	// dropped silently — the exact failure mode unknown query keys and
 	// unknown JSON fields are rejected to prevent.
 	if extra, err := mr.NextPart(); err == nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
-			fmt.Sprintf(`unexpected multipart part %q after "cube" (options must precede the cube)`, extra.FormName()))
-		return
+		return nil, opts, reject(errBadPayload, `unexpected multipart part %q after "cube" (options must precede the cube)`, extra.FormName())
 	} else if !errors.Is(err, io.EOF) {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload,
-			fmt.Sprintf("reading multipart body: %v", err))
-		return
+		return nil, opts, reject(errBadPayload, "reading multipart body: %v", err)
 	}
-	st, err := p.Submit(cube, opts)
-	if err != nil {
-		writeAPIError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, statusJSON(st))
+	return cube, opts, nil
 }
 
-// v2ListJobs serves the job listing, newest submission first.
-func (p *Pool) v2ListJobs(w http.ResponseWriter, r *http.Request) {
+// v2FuseOptions reads a scene fusion's JSON options body (an empty body
+// selects the pool defaults).
+func v2FuseOptions(r *http.Request) (core.Options, error) {
+	if err := noQuery(r); err != nil {
+		return core.Options{}, err
+	}
+	return decodeOptionsBody(r.Body)
+}
+
+// listJobs serves the job listing, newest submission first.
+func (p *Pool) listJobs(r *http.Request) (int, any, error) {
 	q := r.URL.Query()
 	var state JobState
 	limit := 100
 	keys, err := queryKeys(q, "state", "limit")
 	if err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
-		return
+		return 0, nil, err
 	}
 	for _, key := range keys {
 		switch key {
@@ -204,16 +135,13 @@ func (p *Pool) v2ListJobs(w http.ResponseWriter, r *http.Request) {
 			case StateQueued, StateRunning, StateDone, StateFailed, StateCanceled:
 				state = s
 			default:
-				writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption,
-					fmt.Sprintf("unknown state %q (valid: queued, running, done, failed, canceled)", q.Get(key)))
-				return
+				return 0, nil, reject(core.ErrBadOptions,
+					"unknown state %q (valid: queued, running, done, failed, canceled)", q.Get(key))
 			}
 		case "limit":
 			v, err := strconv.Atoi(q.Get(key))
 			if err != nil || v < 1 {
-				writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption,
-					fmt.Sprintf("bad limit %q", q.Get(key)))
-				return
+				return 0, nil, reject(core.ErrBadOptions, "bad limit %q", q.Get(key))
 			}
 			limit = v
 		}
@@ -223,40 +151,19 @@ func (p *Pool) v2ListJobs(w http.ResponseWriter, r *http.Request) {
 	for i, st := range statuses {
 		jobs[i] = statusJSON(st)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": jobs})
+	return http.StatusOK, map[string]any{"jobs": jobs}, nil
 }
 
-// v2GetJob serves a job resource, long-polling when ?wait= is given: the
-// response carries a terminal state unless the wait (trimmed to the
-// server cap) elapsed first, so clients need no status-poll loops.
-func (p *Pool) v2GetJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	q := r.URL.Query()
-	if _, err := queryKeys(q, "wait"); err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
-		return
-	}
-	if !q.Has("wait") {
-		st, err := p.Status(id)
-		if err != nil {
-			writeAPIError(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, statusJSON(st))
-		return
-	}
-	// A present-but-empty value ("?wait=", a lost shell variable) is a
-	// bad value, not an absent knob: it fails the parse below.
-	waitStr := q.Get("wait")
-	d, err := time.ParseDuration(waitStr)
+// waitJob long-polls a job: the answer carries a terminal state unless
+// the wait (trimmed to Config.MaxLongPoll) elapsed first, so clients
+// need no status-poll loops. A present-but-empty value ("?wait=", a lost
+// shell variable) is a bad value, not an absent knob.
+func (p *Pool) waitJob(r *http.Request, id, wait string) (JobStatus, error) {
+	d, err := time.ParseDuration(wait)
 	if err != nil || d <= 0 {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption,
-			fmt.Sprintf("bad wait %q (want a positive duration like 30s)", waitStr))
-		return
+		return JobStatus{}, reject(core.ErrBadOptions, "bad wait %q (want a positive duration like 30s)", wait)
 	}
-	if d > p.cfg.MaxLongPoll {
-		d = p.cfg.MaxLongPoll
-	}
+	d = min(d, p.cfg.MaxLongPoll)
 	// Count a park only when the wait will actually block on a
 	// non-terminal job (the common fast path — polling a finished job —
 	// is not a park).
@@ -266,82 +173,60 @@ func (p *Pool) v2GetJob(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), d)
 	defer cancel()
 	st, err := p.WaitContext(ctx, id)
-	switch {
-	case err == nil, errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		// Terminal, the wait elapsed, or the request context was torn
-		// down (server draining — see fusiond's BaseContext — or the
-		// client went away, where the write just fails silently): the
-		// current snapshot is the answer and a live client decides
-		// whether to long-poll again.
-		writeJSON(w, http.StatusOK, statusJSON(st))
-	default:
-		writeAPIError(w, err)
+	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		// The wait elapsed, or the request context was torn down (server
+		// draining — see fusiond's BaseContext — or the client went
+		// away, where the write just fails silently): the current
+		// snapshot is the answer and a live client decides whether to
+		// long-poll again.
+		return st, nil
 	}
+	return st, err
 }
 
-// v2CancelJob withdraws a queued job, returning the canceled resource.
-func (p *Pool) v2CancelJob(w http.ResponseWriter, r *http.Request) {
-	if !v2NoQuery(w, r) {
-		return
+// cancelJob withdraws a queued job, returning the canceled resource.
+func (p *Pool) cancelJob(r *http.Request) (int, any, error) {
+	if err := noQuery(r); err != nil {
+		return 0, nil, err
 	}
 	st, err := p.Cancel(r.PathValue("id"))
 	if err != nil {
-		writeAPIError(w, err)
-		return
+		return 0, nil, err
 	}
-	writeJSON(w, http.StatusOK, statusJSON(st))
+	return http.StatusOK, statusJSON(st), nil
 }
 
-// v2JobResult serves a finished job's artifact with content negotiation:
+// jobResult serves a finished job's artifact with content negotiation:
 // image/png when the Accept header asks for it, the JSON result summary
 // otherwise.
-func (p *Pool) v2JobResult(w http.ResponseWriter, r *http.Request) {
-	if !v2NoQuery(w, r) {
-		return
+func (p *Pool) jobResult(r *http.Request) (int, any, error) {
+	if err := noQuery(r); err != nil {
+		return 0, nil, err
 	}
 	id := r.PathValue("id")
 	st, err := p.Status(id)
-	if err != nil {
-		writeAPIError(w, err)
-		return
-	}
-	switch st.State {
-	case StateFailed:
-		writeAPIErrorCode(w, http.StatusConflict, CodeJobFailed,
-			fmt.Sprintf("job %s failed: %v", id, st.Err))
-		return
-	case StateDone:
-	default:
-		writeAPIErrorCode(w, http.StatusConflict, CodeJobNotFinished,
-			fmt.Sprintf("job %s is %s", id, st.State))
-		return
+	switch {
+	case err != nil:
+		return 0, nil, err
+	case st.State == StateFailed:
+		return 0, nil, reject(errJobFailed, "job %s failed: %v", id, st.Err)
+	case st.State != StateDone:
+		return 0, nil, reject(errJobNotFinished, "job %s is %s", id, st.State)
 	}
 	if acceptsPNG(r.Header.Get("Accept")) {
 		data, err := p.ImagePNG(id)
-		if err != nil {
-			writeAPIError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", "image/png")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
-		return
+		return http.StatusOK, pngBytes(data), err
 	}
-	body := statusJSON(st)
-	writeJSON(w, http.StatusOK, body.Result)
+	return http.StatusOK, statusJSON(st).Result, nil
 }
 
-// v2JobTrace serves the job's recorded stage-span timeline.
-func (p *Pool) v2JobTrace(w http.ResponseWriter, r *http.Request) {
-	if !v2NoQuery(w, r) {
-		return
+// jobTrace serves the job's recorded stage-span timeline.
+func (p *Pool) jobTrace(r *http.Request) (int, any, error) {
+	if err := noQuery(r); err != nil {
+		return 0, nil, err
 	}
 	tr, err := p.Trace(r.PathValue("id"))
-	if err != nil {
-		writeAPIError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, tr)
+	return http.StatusOK, tr, err
 }
 
 // acceptsPNG reports whether an Accept header asks for the composite
@@ -372,47 +257,4 @@ func acceptsPNG(accept string) bool {
 		}
 	}
 	return false
-}
-
-// v2RegisterScene is the v1 multipart upload with envelope errors.
-func (p *Pool) v2RegisterScene(w http.ResponseWriter, r *http.Request) {
-	if !v2NoQuery(w, r) {
-		return
-	}
-	info, err := p.sceneFromMultipart(r)
-	if err != nil {
-		// Client-caused failures — multipart framing, a bad ENVI header
-		// — are bad_payload; anything else unmapped (spool I/O, say) is
-		// a genuine server fault and must stay a 5xx so machine clients
-		// retry instead of concluding their upload is malformed.
-		var ufe *uploadFormatError
-		if errors.As(err, &ufe) || errors.Is(err, scene.ErrHeader) {
-			writeAPIErrorCode(w, http.StatusBadRequest, CodeBadPayload, err.Error())
-			return
-		}
-		writeAPIError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
-}
-
-// v2FuseScene enqueues a whole-scene fusion with a JSON options body
-// (empty body selects the pool defaults).
-func (p *Pool) v2FuseScene(w http.ResponseWriter, r *http.Request) {
-	// Options travel in the JSON body on v2; a v1-style ?threshold=...
-	// here would otherwise be dropped silently.
-	if !v2NoQuery(w, r) {
-		return
-	}
-	opts, err := decodeOptionsBody(r.Body)
-	if err != nil {
-		writeAPIErrorCode(w, http.StatusBadRequest, CodeBadOption, err.Error())
-		return
-	}
-	st, err := p.FuseScene(r.PathValue("id"), opts)
-	if err != nil {
-		writeAPIError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, statusJSON(st))
 }

@@ -3,7 +3,6 @@ package service
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 
@@ -45,7 +44,7 @@ func (o OptionsJSON) Options() (core.Options, error) {
 	if o.Threshold != nil {
 		v := *o.Threshold
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return opts, fmt.Errorf("bad threshold %v", v)
+			return opts, reject(core.ErrBadOptions, "bad threshold %v", v)
 		}
 		opts.Threshold = v
 	}
@@ -77,12 +76,12 @@ func decodeOptionsBody(r io.Reader) (core.Options, error) {
 		if errors.Is(err, io.EOF) {
 			return core.Options{}, nil
 		}
-		return core.Options{}, fmt.Errorf("bad options JSON: %w", err)
+		return core.Options{}, reject(core.ErrBadOptions, "bad options JSON: %v", err)
 	}
 	// A second document (or trailing junk) is a malformed request, not
 	// ignorable padding.
 	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
-		return core.Options{}, errors.New("bad options JSON: trailing data after options object")
+		return core.Options{}, reject(core.ErrBadOptions, "bad options JSON: trailing data after options object")
 	}
 	return oj.Options()
 }
