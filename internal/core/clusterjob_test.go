@@ -114,7 +114,7 @@ func TestClusterJobMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys, _, fan := startCluster(t, opts.Workers)
-	job, err := StartJob(sys, MemSource(cube), opts, 0)
+	job, err := StartJob(sys, MemSource(cube), opts, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestClusterJobSurvivesWorkerProcessKill(t *testing.T) {
 		reached:    make(chan struct{}),
 		resume:     make(chan struct{}),
 	}
-	job, err := StartJob(sys, src, opts, 0)
+	job, err := StartJob(sys, src, opts, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestClusterJobStartsWithDeadNode(t *testing.T) {
 		reached:    make(chan struct{}),
 		resume:     make(chan struct{}),
 	}
-	job, err := StartJob(sys, src, opts, 0)
+	job, err := StartJob(sys, src, opts, 0, nil)
 	if err != nil {
 		t.Fatalf("start with a dead node must not fail: %v", err)
 	}
@@ -267,12 +267,12 @@ func TestClusterJobsShareSystem(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys, _, fan := startCluster(t, opts.Workers)
-	a, err := StartJob(sys, MemSource(cube), opts, 1<<20)
+	a, err := StartJob(sys, MemSource(cube), opts, 1<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fan.add(a.Runtime())
-	b, err := StartJob(sys, MemSource(cube), opts, 2<<20)
+	b, err := StartJob(sys, MemSource(cube), opts, 2<<20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,19 +66,12 @@ func managerBody(rt *resilient.Runtime, src CubeSource, opts Options, res *Resul
 	}
 }
 
-// RunManager drives the 8-step fusion protocol from env against workers
-// with logical IDs 1..opts.Workers, filling res. It is the job-scoped run
-// path shared by the resilient job (NewJob) and the service pool, which
-// spawns one manager per job over long-lived pooled workers.
-func RunManager(env resilient.REnv, cube *hsi.Cube, opts Options, res *Result) error {
-	return RunManagerSource(env, MemSource(cube), opts, res)
-}
-
-// RunManagerSource is RunManager over an arbitrary tile source: the
-// decomposition is a function of the source's shape alone, and tiles are
-// pulled on demand, so a streamed scene run is bit-identical to the
-// in-memory run over the same samples while the manager's working set
-// stays bounded by the tiles in flight.
+// RunManagerSource drives the 8-step fusion protocol (or the one-phase
+// tile exchange) from env against workers with logical IDs
+// 1..opts.Workers, filling res. Tiles are pulled from src on demand: the
+// decomposition is a function of the source's shape alone, so a streamed
+// scene run is bit-identical to the in-memory run over the same samples
+// while the manager's working set stays bounded by the tiles in flight.
 func RunManagerSource(env resilient.REnv, src CubeSource, opts Options, res *Result) error {
 	m := &manager{env: env, src: src, opts: opts.withDefaults(), res: res}
 	m.width, m.height, m.bands = src.Shape()
@@ -228,6 +221,16 @@ func (m *manager) run() error {
 	return nil
 }
 
+// recv waits up to RequestTimeout for the next worker reply. A worker's
+// KindWorkerErr fails the job at once with the worker's message.
+func (m *manager) recv() (*resilient.RMessage, error) {
+	msg, err := m.env.RecvTimeout(m.opts.RequestTimeout)
+	if err == nil && msg.Kind == KindWorkerErr {
+		return nil, fmt.Errorf("worker %d: %s", msg.From, msg.Payload)
+	}
+	return msg, err
+}
+
 // sendScreen ships sub-cube idx to a worker, pulling the tile from the
 // source (an in-memory extract or a streamed read).
 func (m *manager) sendScreen(idx int, to resilient.LogicalID) error {
@@ -279,7 +282,7 @@ func (m *manager) screenPhase() ([][]linalg.Vector, error) {
 	}
 	done := 0
 	for done < S {
-		msg, err := m.env.RecvTimeout(m.opts.RequestTimeout)
+		msg, err := m.recv()
 		if errors.Is(err, resilient.ErrTimeout) {
 			reissues++
 			m.res.Reissues++
@@ -378,7 +381,7 @@ func (m *manager) fusePhase() (*image.RGBA, error) {
 		}
 	}
 	for done := 0; done < S; {
-		msg, err := m.env.RecvTimeout(m.opts.RequestTimeout)
+		msg, err := m.recv()
 		if errors.Is(err, resilient.ErrTimeout) {
 			reissues++
 			m.res.Reissues++
@@ -467,7 +470,7 @@ func (m *manager) covariancePhase(members []linalg.Vector, mean linalg.Vector) (
 	}
 	reissues := 0
 	for done := 0; done < P; {
-		msg, err := m.env.RecvTimeout(m.opts.RequestTimeout)
+		msg, err := m.recv()
 		if errors.Is(err, resilient.ErrTimeout) {
 			reissues++
 			m.res.Reissues++
@@ -545,7 +548,7 @@ func (m *manager) transformPhase(mean linalg.Vector, transform *linalg.Matrix, s
 	}
 	reissues := 0
 	for done := 0; done < S; {
-		msg, err := m.env.RecvTimeout(m.opts.RequestTimeout)
+		msg, err := m.recv()
 		if errors.Is(err, resilient.ErrTimeout) {
 			reissues++
 			m.res.Reissues++

@@ -32,7 +32,7 @@ type Options struct {
 	// Threshold is the spectral-angle screening threshold (0 → default).
 	Threshold float64
 	// Parallelism is the per-worker kernel parallelism for the statistics
-	// and transform steps. 0 is automatic: distributed and pooled runs
+	// and transform steps. 0 is automatic: distributed and service runs
 	// divide GOMAXPROCS across the concurrently computing workers
 	// (max(1, GOMAXPROCS/Workers) each) so kernels never oversubscribe
 	// the host, while the single-threaded Sequential oracle uses full
@@ -116,6 +116,29 @@ func (o Options) withDefaults() Options {
 		o.Cost = perfmodel.Default()
 	}
 	return o
+}
+
+// Validate reports ErrBadOptions unless the options, with defaults
+// applied, describe a runnable job: at least one worker and one replica,
+// enough retained components for the color mapping, and a registered
+// fusion algorithm. Every job constructor (NewJobSource, StartJob) and
+// the service's admission check run this one rule.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	if o.Workers < 1 {
+		return fmt.Errorf("%w: Workers=%d", ErrBadOptions, o.Workers)
+	}
+	if o.Replication < 1 {
+		return fmt.Errorf("%w: Replication=%d", ErrBadOptions, o.Replication)
+	}
+	if o.Components < 3 {
+		return fmt.Errorf("%w: need >=3 components for color mapping", ErrBadOptions)
+	}
+	if _, ok := fuse.Lookup(o.Algorithm); !ok {
+		return fmt.Errorf("%w: unknown algorithm %q (have %v)",
+			ErrBadOptions, o.Algorithm, fuse.Names())
+	}
+	return nil
 }
 
 // Canonical returns the options with all defaults applied — the normal
@@ -211,18 +234,8 @@ func NewJobSource(sys scplib.System, src CubeSource, opts Options) (*Job, error)
 	if err := validateSource(src); err != nil {
 		return nil, err
 	}
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("%w: Workers=%d", ErrBadOptions, opts.Workers)
-	}
-	if opts.Replication < 1 {
-		return nil, fmt.Errorf("%w: Replication=%d", ErrBadOptions, opts.Replication)
-	}
-	if opts.Components < 3 {
-		return nil, fmt.Errorf("%w: need >=3 components for color mapping", ErrBadOptions)
-	}
-	if _, ok := fuse.Lookup(opts.Algorithm); !ok {
-		return nil, fmt.Errorf("%w: unknown algorithm %q (have %v)",
-			ErrBadOptions, opts.Algorithm, fuse.Names())
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 
 	// Workers compute concurrently; share the host's parallelism among
@@ -249,23 +262,8 @@ func NewJobSource(sys scplib.System, src CubeSource, opts Options) (*Job, error)
 	if err := rt.AddSingleton(ManagerID, "manager", 0, managerBody(rt, src, opts, res)); err != nil {
 		return nil, err
 	}
-	for w := 1; w <= opts.Workers; w++ {
-		lid := resilient.LogicalID(w)
-		name := fmt.Sprintf("worker%d", w)
-		body := workerBody(ManagerID, opts.Algorithm, opts.Threshold, opts.Parallelism, opts.Cost)
-		if opts.Replication == 1 {
-			if err := rt.AddSingleton(lid, name, w, body); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		placements := make([]int, opts.Replication)
-		for k := 0; k < opts.Replication; k++ {
-			placements[k] = 1 + (w-1+k)%opts.Workers
-		}
-		if err := rt.AddGroup(lid, name, placements, body); err != nil {
-			return nil, err
-		}
+	if err := addWorkers(rt, opts, opts.Replication == 1, nil); err != nil {
+		return nil, err
 	}
 	if err := rt.Start(); err != nil {
 		return nil, err

@@ -39,13 +39,17 @@ const (
 	// KindCacheMiss reports that a worker no longer holds a sub-cube
 	// (it was regenerated); the manager resends with data.
 	KindCacheMiss
-	// KindStop shuts a worker down gracefully.
+	// KindStop ends a worker thread: the manager sends one to every
+	// worker when its job is done.
 	KindStop
 	// KindFuseReq carries a sub-cube for a tile-kernel algorithm
 	// (pyramid, dwt): the whole per-tile fusion in one request.
 	KindFuseReq
 	// KindFuseResp returns a tile kernel's fused RGB slab.
 	KindFuseResp
+	// KindWorkerErr reports a request the worker could not serve; its
+	// payload is the error text, and the manager fails the job with it.
+	KindWorkerErr
 )
 
 // ErrWire reports malformed fusion payloads.

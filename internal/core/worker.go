@@ -14,12 +14,11 @@ import (
 	"resilientfusion/internal/spectral"
 )
 
-// WorkerState holds the per-job state of a fusion worker: sub-cubes
+// WorkerState holds a fusion worker's state for one job: sub-cubes
 // cached from the screening phase (preserving the paper's locality — step
 // 7 reuses step 1's data placement) and memoized screen responses so
-// reissued requests are answered without re-screening. A run-to-completion
-// worker thread owns exactly one; the service pool's multiplexing workers
-// keep one per in-flight job.
+// reissued requests are answered without re-screening. Every worker
+// thread runs one job and owns exactly one WorkerState.
 type WorkerState struct {
 	algorithm   string // canonical registry name ("" behaves as "pct")
 	threshold   float64
@@ -27,31 +26,6 @@ type WorkerState struct {
 	cost        perfmodel.Model
 	cache       map[int]*hsi.SubCube
 	screened    map[int][]byte // encoded ScreenResp by sub-cube
-	scratch     *Scratch       // optional worker-lifetime buffers
-}
-
-// Scratch holds worker-lifetime kernel buffers that outlive individual
-// jobs. The screened-covariance micro-shape (K≈7 unique vectors over
-// 100+ bands) is allocation-floor-bound on its n×n sum matrix, so a
-// long-lived pooled worker plants one Scratch into every per-job
-// WorkerState it creates and the sum matrix is reused across jobs
-// (pct.CovarianceSumInto zeroes it per request). A Scratch belongs to
-// one worker thread: replies are fully encoded before Handle returns, so
-// nothing aliases the buffers between messages.
-type Scratch struct {
-	cov *linalg.Matrix
-}
-
-// NewScratch returns empty worker-lifetime scratch.
-func NewScratch() *Scratch { return &Scratch{} }
-
-// covFor returns the reusable n×n covariance accumulator, reallocating
-// only when the band count changes.
-func (s *Scratch) covFor(n int) *linalg.Matrix {
-	if s.cov == nil || s.cov.Rows != n {
-		s.cov = linalg.NewMatrix(n, n)
-	}
-	return s.cov
 }
 
 // NewWorkerState returns empty per-job worker state for the named
@@ -70,17 +44,13 @@ func NewWorkerState(algorithm string, threshold float64, parallelism int, cost p
 	}
 }
 
-// UseScratch plants worker-lifetime buffers into this per-job state; the
-// caller promises the Scratch is owned by a single worker thread.
-func (ws *WorkerState) UseScratch(s *Scratch) { ws.scratch = s }
-
 // Handle processes one application message and returns the reply to send
 // to the manager, plus the modeled flops the caller must charge (via
 // Compute) before sending. replyKind 0 means no reply (unknown or stale
 // kind). Handle is a deterministic function of the message stream, which
 // is what keeps replicated workers in lockstep (the resilient layer's
-// requirement). KindStop is the caller's business: a dedicated worker
-// thread returns, a pooled worker retires the job's state.
+// requirement). KindStop is the caller's business: the worker thread
+// returns.
 func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, reply []byte, flops float64, err error) {
 	switch kind {
 	case KindScreenReq:
@@ -113,15 +83,8 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		// Step 4: covariance partial sum over this part, accumulated into
-		// the worker-lifetime matrix when one is planted (the encode below
-		// copies it out before Handle returns, so reuse is safe).
-		var sum *linalg.Matrix
-		if ws.scratch != nil {
-			sum = ws.scratch.covFor(len(req.Mean))
-		} else {
-			sum = linalg.NewMatrix(len(req.Mean), len(req.Mean))
-		}
+		// Step 4: covariance partial sum over this part.
+		sum := linalg.NewMatrix(len(req.Mean), len(req.Mean))
 		if err := pct.CovarianceSumInto(sum, req.Vectors, req.Mean, ws.parallelism); err != nil {
 			return 0, nil, 0, err
 		}
@@ -176,14 +139,24 @@ func (ws *WorkerState) Handle(kind uint16, payload []byte) (replyKind uint16, re
 	return 0, nil, 0, nil
 }
 
+// StageObserver receives the runtime seconds (wall clock on a
+// RealSystem) a worker spent handling one request of the given kind
+// (KindScreenReq, KindCovReq, KindTransformReq, KindFuseReq). It runs on
+// the worker thread, outside the kernels, so outputs are bit-identical
+// with or without it.
+type StageObserver func(kind uint16, seconds float64)
+
 // workerBody executes the worker side of the fusion protocol as a
 // dedicated resilient thread — the 8-step pct exchange or the
 // single-phase tile-kernel exchange, per the job's algorithm — with one
-// WorkerState for its lifetime, stopping on KindStop.
-func workerBody(manager resilient.LogicalID, algorithm string, threshold float64, parallelism int, cost perfmodel.Model) resilient.RBody {
+// WorkerState for its lifetime, stopping on KindStop. A request the
+// worker cannot serve (a malformed payload, a failing kernel) is
+// reported to the manager as KindWorkerErr, which fails the job at once
+// instead of after the manager's reissue timeouts. observe, when
+// non-nil, times every Handle call.
+func workerBody(manager resilient.LogicalID, algorithm string, threshold float64, parallelism int, cost perfmodel.Model, observe StageObserver) resilient.RBody {
 	return func(env resilient.REnv) error {
 		ws := NewWorkerState(algorithm, threshold, parallelism, cost)
-		ws.UseScratch(NewScratch())
 		for {
 			m, err := env.Recv()
 			if err != nil {
@@ -192,9 +165,13 @@ func workerBody(manager resilient.LogicalID, algorithm string, threshold float64
 			if m.Kind == KindStop {
 				return nil
 			}
+			t0 := env.Now()
 			replyKind, reply, flops, err := ws.Handle(m.Kind, m.Payload)
+			if observe != nil {
+				observe(m.Kind, env.Now()-t0)
+			}
 			if err != nil {
-				return err
+				return env.Send(manager, KindWorkerErr, []byte(err.Error()))
 			}
 			if replyKind == 0 {
 				continue

@@ -28,9 +28,9 @@ import (
 	"resilientfusion/internal/hsi"
 )
 
-// ID is an algorithm's stable wire identifier, carried in the service
-// job envelope and the cluster worker args so pooled and remote workers
-// instantiate the same kernel the manager dispatches for. IDs are
+// ID is an algorithm's stable wire identifier, carried in the cluster
+// worker args so remote workers instantiate the same kernel the manager
+// dispatches for. IDs are
 // append-only: reusing or renumbering one would let two deployments
 // disagree about what a job computes.
 type ID uint32

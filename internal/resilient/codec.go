@@ -37,6 +37,12 @@ func encodeApp(from LogicalID, replica int, appKind uint16, lseq uint64, view, e
 	return buf
 }
 
+// decodeApp parses an application message. The payload aliases b: every
+// sender encodes into a fresh buffer (encodeApp) and never touches it
+// again, and receivers only read payloads — the core decoders copy what
+// they keep — so a copy here would only double the bytes per message.
+// Replicas multicast one buffer to every destination thread, so a
+// receiver must never write into Payload.
 func decodeApp(b []byte) (*RMessage, uint32, uint32, error) {
 	if len(b) < rheaderBytes {
 		return nil, 0, 0, fmt.Errorf("%w: app message %d bytes", ErrBadWire, len(b))
@@ -46,7 +52,7 @@ func decodeApp(b []byte) (*RMessage, uint32, uint32, error) {
 		Replica: int(binary.LittleEndian.Uint16(b[4:])),
 		Kind:    binary.LittleEndian.Uint16(b[6:]),
 		LSeq:    binary.LittleEndian.Uint64(b[8:]),
-		Payload: append([]byte(nil), b[rheaderBytes:]...),
+		Payload: b[rheaderBytes:],
 	}
 	view := binary.LittleEndian.Uint32(b[16:])
 	epoch := binary.LittleEndian.Uint32(b[20:])

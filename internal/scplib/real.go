@@ -67,7 +67,10 @@ func (s *RealSystem) Spawn(spec ThreadSpec) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.threads[spec.ID]; ok {
+	// A killed thread still unwinding no longer owns its ID: long-lived
+	// systems hand a finished job's ID range to the next job while the
+	// old threads are being reaped (the reap only removes its own entry).
+	if old, ok := s.threads[spec.ID]; ok && !old.killed.Load() {
 		return fmt.Errorf("%w: %d (%s)", ErrDuplicateThread, spec.ID, spec.Name)
 	}
 	t := &realThread{

@@ -576,3 +576,44 @@ func TestRealSystemLifecycle(t *testing.T) {
 		t.Fatalf("Wait after Stop: %v", err)
 	}
 }
+
+// A killed thread still unwinding frees its ID at once: the new thread
+// takes over the ID's mailbox routing, and the old thread's reap must not
+// unregister it.
+func TestRealSpawnReusesKilledID(t *testing.T) {
+	sys := NewRealSystem()
+	sys.Start()
+	release := make(chan struct{})
+	exited := make(chan struct{})
+	mustSpawn(t, sys, ThreadSpec{ID: 1, Name: "old", Body: func(env Env) error {
+		defer close(exited)
+		<-release // ignores the kill, like a thread deep in a kernel
+		return nil
+	}})
+	got := make(chan uint16, 1)
+	sys.Kill(1)
+	mustSpawn(t, sys, ThreadSpec{ID: 1, Name: "new", Body: func(env Env) error {
+		m, err := env.Recv()
+		if err != nil {
+			return err
+		}
+		got <- m.Kind
+		return nil
+	}})
+	close(release)
+	<-exited
+	mustSpawn(t, sys, ThreadSpec{ID: 2, Name: "sender", Body: func(env Env) error {
+		return env.Send(1, 7, nil)
+	}})
+	select {
+	case k := <-got:
+		if k != 7 {
+			t.Fatalf("new thread received kind %d", k)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("message to the reused ID never arrived")
+	}
+	if err := sys.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -5,7 +5,6 @@ import (
 
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/resilient"
-	"resilientfusion/internal/scene"
 	"resilientfusion/internal/scplib"
 	"resilientfusion/internal/telemetry"
 )
@@ -16,7 +15,7 @@ import (
 // resilient runtime's guardian regenerating replicas lost to killed
 // workers. Jobs degrade gracefully: below quorum (fewer connected
 // workers than configured) or on any cluster-side failure, the job
-// falls back to the in-process pool, whose mosaic is bit-identical.
+// falls back to the in-process system, whose mosaic is bit-identical.
 
 // ClusterConfig tunes cluster mode. The zero value (and a nil
 // Config.Cluster) disables it.
@@ -101,24 +100,9 @@ type clusterState struct {
 	regenerations *telemetry.Counter
 	viewChanges   *telemetry.Counter
 
-	mu        sync.Mutex
-	rts       []*resilient.Runtime // running cluster jobs' runtimes
-	nextBase  scplib.ThreadID
-	freeBases []scplib.ThreadID            // finished jobs' bases, reused FIFO
-	inUse     map[scplib.ThreadID]struct{} // bases of running jobs
+	mu  sync.Mutex
+	rts []*resilient.Runtime // running cluster jobs' runtimes
 }
-
-// clusterPhysBase0 starts job phys IDs far above any coordinator-local
-// IDs; clusterPhysStride gives each job room for its guardian, replicas,
-// regenerations, and couriers. Bases stay below clusterPhysMax: courier
-// IDs mirror downward from 1<<30, so capping replica ranges at 1<<29
-// keeps the two ID spaces disjoint no matter how many jobs have run, and
-// the int32 ThreadID never overflows.
-const (
-	clusterPhysBase0  = scplib.ThreadID(1 << 20)
-	clusterPhysStride = scplib.ThreadID(1 << 16)
-	clusterPhysMax    = scplib.ThreadID(1 << 29)
-)
 
 // newClusterState opens the coordinator listener and wires its transport
 // liveness hooks to fan out to every running cluster job. The system
@@ -146,8 +130,6 @@ func newClusterState(cfg ClusterConfig, logf func(format string, args ...any), r
 			"Replacement replicas regenerated by cluster jobs' guardians."),
 		viewChanges: reg.Counter("fusion_cluster_view_changes_total",
 			"View reconfigurations broadcast by cluster jobs' guardians."),
-		nextBase: clusterPhysBase0,
-		inUse:    make(map[scplib.ThreadID]struct{}),
 	}
 	reg.GaugeFunc("fusion_cluster_live_workers",
 		"fusionworkerd processes connected right now.", func() int64 {
@@ -179,10 +161,25 @@ func (cl *clusterState) runtimes() []*resilient.Runtime {
 	return append([]*resilient.Runtime(nil), cl.rts...)
 }
 
-func (cl *clusterState) register(rt *resilient.Runtime) {
+// watch wires a started cluster job's runtime into the transport
+// liveness fan-out.
+func (cl *clusterState) watch(rt *resilient.Runtime) {
 	cl.mu.Lock()
 	cl.rts = append(cl.rts, rt)
 	cl.mu.Unlock()
+	// Close the registration gap: a worker that died while StartJob was
+	// spawning fired OnNodeDown before this runtime existed. Seed the
+	// runtime with the fleet's current liveness so such losses expire at
+	// the guardian's next poll instead of waiting out FailTimeout.
+	live := make(map[int]bool, cl.cfg.Workers)
+	for _, n := range cl.sys.LiveNodes() {
+		live[n] = true
+	}
+	for n := 1; n <= cl.cfg.Workers; n++ {
+		if !live[n] {
+			rt.NodeDown(n)
+		}
+	}
 }
 
 func (cl *clusterState) unregister(rt *resilient.Runtime) {
@@ -192,46 +189,6 @@ func (cl *clusterState) unregister(rt *resilient.Runtime) {
 			cl.rts = append(cl.rts[:i], cl.rts[i+1:]...)
 			break
 		}
-	}
-	cl.mu.Unlock()
-}
-
-// allocBase hands each job a physical thread ID range disjoint from
-// every other running job's on the shared cluster system. Finished
-// jobs' bases are reused oldest-first (FIFO gives straggler threads on
-// workers the longest time to drain before their IDs recur), so a
-// long-lived daemon's ID space stays bounded; if fresh allocation ever
-// reaches clusterPhysMax it wraps, skipping bases still in use.
-func (cl *clusterState) allocBase() scplib.ThreadID {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	if len(cl.freeBases) > 0 {
-		base := cl.freeBases[0]
-		cl.freeBases = cl.freeBases[1:]
-		cl.inUse[base] = struct{}{}
-		return base
-	}
-	// The scan terminates unless every base in [base0, max) is held by a
-	// running job — ~8k concurrent jobs, far beyond what the pool admits.
-	for {
-		if cl.nextBase+clusterPhysStride > clusterPhysMax {
-			cl.nextBase = clusterPhysBase0
-		}
-		base := cl.nextBase
-		cl.nextBase += clusterPhysStride
-		if _, busy := cl.inUse[base]; !busy {
-			cl.inUse[base] = struct{}{}
-			return base
-		}
-	}
-}
-
-// releaseBase returns a finished job's base to the free list.
-func (cl *clusterState) releaseBase(base scplib.ThreadID) {
-	cl.mu.Lock()
-	if _, busy := cl.inUse[base]; busy {
-		delete(cl.inUse, base)
-		cl.freeBases = append(cl.freeBases, base)
 	}
 	cl.mu.Unlock()
 }
@@ -280,75 +237,30 @@ func (cl *clusterState) clusterOptions(opts core.Options) core.Options {
 	return opts
 }
 
-// runJobCluster tries to run one job over the connected fusionworkerd
-// fleet. It reports whether the job reached a terminal state here; false
-// means the caller should run it on the in-process pool instead (below
-// quorum, spawn failure, or a mid-run cluster failure the guardian could
+// runCluster tries to run one job over the connected fusionworkerd
+// fleet. false means the caller should run it in-process instead (below
+// quorum, start failure, or a mid-run cluster failure the guardian could
 // not absorb).
-func (p *Pool) runJobCluster(job *Job) bool {
+func (p *Pool) runCluster(job *Job, src core.CubeSource, opts core.Options) (*core.Result, bool) {
 	cl := p.cluster
 	if live := cl.sys.LiveWorkers(); live < cl.cfg.Workers {
 		p.logf("cluster: %d/%d workers live — job %s degrades to in-process pool",
 			live, cl.cfg.Workers, job.id)
 		cl.fallback()
-		return false
+		return nil, false
 	}
-	opts := cl.clusterOptions(job.opts)
-	// Trace rides in this copy only; job.opts and its ResultKey stay
-	// trace-free (see runJob).
-	opts.Trace = job.trace
-
-	var src core.CubeSource
-	if job.sceneID != "" {
-		rdr, err := scene.NewReaderFrom(job.sceneHdr, job.sceneFile)
-		if err != nil {
-			// Not a cluster failure: the spool is unreadable, and the
-			// fallback path would fail the same way.
-			p.finish(job, nil, err, false)
-			return true
-		}
-		tiler := scene.NewPrefetchTiler(scene.NewTiler(rdr), opts.TileRanges(job.sceneHdr.Lines))
-		tiler.OnRead = p.metrics.sceneTileRead
-		defer tiler.Drain()
-		src = &sceneSource{tiler: tiler, job: job}
-	} else {
-		src = core.MemSource(job.cube)
-	}
-
-	base := cl.allocBase()
-	defer cl.releaseBase(base)
-	rj, err := core.StartJob(cl.sys, src, opts, base)
-	if err != nil {
+	res, rt, err := p.runOn(cl.sys, src, cl.clusterOptions(opts), cl.watch)
+	if rt == nil {
 		p.logf("cluster: job %s failed to start (%v) — degrading to in-process pool", job.id, err)
 		cl.fallback()
-		return false
+		return nil, false
 	}
-	rt := rj.Runtime()
-	cl.register(rt)
-	// Close the registration gap: a worker that died while StartJob was
-	// spawning fired OnNodeDown before this runtime existed. Seed the
-	// runtime with the fleet's current liveness so such losses expire at
-	// the guardian's next poll instead of waiting out FailTimeout.
-	live := make(map[int]bool, cl.cfg.Workers)
-	for _, n := range cl.sys.LiveNodes() {
-		live[n] = true
-	}
-	for n := 1; n <= cl.cfg.Workers; n++ {
-		if !live[n] {
-			rt.NodeDown(n)
-		}
-	}
-	res, err := rj.Wait()
 	cl.unregister(rt)
 	cl.absorb(rt.Stats(), err == nil)
 	if err != nil {
 		p.logf("cluster: job %s failed mid-run (%v) — degrading to in-process pool", job.id, err)
 		cl.fallback()
-		return false
+		return nil, false
 	}
-	if job.key != "" {
-		p.cache.put(job.key, res)
-	}
-	p.finish(job, res, nil, false)
-	return true
+	return res, true
 }

@@ -54,7 +54,7 @@ func startClusterPool(t *testing.T, ccfg ClusterConfig, workers int) (*Pool, []*
 // handing out a running job's base — the disjoint-ID guarantee must hold
 // in a daemon that serves jobs indefinitely.
 func TestClusterBaseRecycling(t *testing.T) {
-	cl := &clusterState{nextBase: clusterPhysBase0, inUse: make(map[scplib.ThreadID]struct{})}
+	cl := newBaseAllocator()
 	a, b := cl.allocBase(), cl.allocBase()
 	if a == b {
 		t.Fatalf("allocBase handed out %d twice", a)

@@ -68,8 +68,8 @@ func (p *Pool) Recovery() *RecoveryReport { return p.recovery }
 
 // openDurable opens the catalog, journal, and spill tier and replays
 // the first two into the registry and ID allocators. Called from
-// NewPool after the spool directory is resolved and before workers or
-// dispatchers exist, so it runs single-threaded; the queue is not live
+// NewPool after the spool directory is resolved and before dispatchers
+// exist, so it runs single-threaded; the queue is not live
 // yet (recoverJobs re-enqueues later, once dispatchers drain it).
 func (p *Pool) openDurable() error {
 	if p.cfg.JournalDir == "" && p.cfg.CacheSpillBytes > 0 {

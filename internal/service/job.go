@@ -1,7 +1,6 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -9,7 +8,6 @@ import (
 	"time"
 
 	"resilientfusion/internal/core"
-	"resilientfusion/internal/fuse"
 	"resilientfusion/internal/hsi"
 	"resilientfusion/internal/resilient"
 	"resilientfusion/internal/scene"
@@ -31,7 +29,7 @@ const (
 // Job is one fusion request moving through the pool.
 type Job struct {
 	id     string
-	num    uint64 // wire job ID
+	num    uint64 // submission sequence number
 	cube   *hsi.Cube
 	opts   core.Options
 	digest string
@@ -133,136 +131,121 @@ func (j *Job) markTilesComplete() {
 	j.tilesTransformed.Store(int64(j.tilesTotal))
 }
 
-// jobEnv adapts a plain scplib thread environment to the resilient.REnv
-// interface core.RunManager is written against, scoped to one job: sends
-// are wrapped in the job envelope and fanned out to the pooled workers by
-// logical ID, receives are filtered to this job and translated back to
-// logical space. This is what lets the service reuse the exact manager
-// protocol (phases, reissue logic, dedupe) over a shared worker pool.
-type jobEnv struct {
-	env         scplib.Env
-	jobID       uint64
-	threshold   float64
-	parallelism int
-	alg         fuse.ID
-	// workers[w-1] is the physical thread of logical worker w (1..W).
-	workers []scplib.ThreadID
-	back    map[scplib.ThreadID]resilient.LogicalID
+// clusterPhysBase0 starts job phys IDs far above any coordinator-local
+// IDs; clusterPhysStride gives each job room for its guardian, replicas,
+// regenerations, and couriers. Bases stay below clusterPhysMax: courier
+// IDs mirror downward from 1<<30, so capping replica ranges at 1<<29
+// keeps the two ID spaces disjoint no matter how many jobs have run, and
+// the int32 ThreadID never overflows. The same layout serves the
+// in-process system.
+const (
+	clusterPhysBase0  = scplib.ThreadID(1 << 20)
+	clusterPhysStride = scplib.ThreadID(1 << 16)
+	clusterPhysMax    = scplib.ThreadID(1 << 29)
+)
+
+// baseAllocator hands each running job a physical thread ID range
+// disjoint from every other running job's, on whichever system the job
+// runs. Finished jobs' bases are reused oldest-first (FIFO gives
+// straggler threads on remote workers the longest time to drain before
+// their IDs recur), so a long-lived daemon's ID space stays bounded; if
+// fresh allocation ever reaches clusterPhysMax it wraps, skipping bases
+// still in use.
+type baseAllocator struct {
+	mu        sync.Mutex
+	nextBase  scplib.ThreadID
+	freeBases []scplib.ThreadID            // finished jobs' bases, reused FIFO
+	inUse     map[scplib.ThreadID]struct{} // bases of running jobs
 }
 
-func newJobEnv(env scplib.Env, jobID uint64, threshold float64, parallelism int, alg fuse.ID, workers []scplib.ThreadID) *jobEnv {
-	back := make(map[scplib.ThreadID]resilient.LogicalID, len(workers))
-	for i, id := range workers {
-		back[id] = resilient.LogicalID(i + 1)
+func newBaseAllocator() *baseAllocator {
+	return &baseAllocator{nextBase: clusterPhysBase0, inUse: make(map[scplib.ThreadID]struct{})}
+}
+
+func (a *baseAllocator) allocBase() scplib.ThreadID {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.freeBases) > 0 {
+		base := a.freeBases[0]
+		a.freeBases = a.freeBases[1:]
+		a.inUse[base] = struct{}{}
+		return base
 	}
-	return &jobEnv{env: env, jobID: jobID, threshold: threshold, parallelism: parallelism, alg: alg, workers: workers, back: back}
-}
-
-func (e *jobEnv) Self() resilient.LogicalID { return core.ManagerID }
-func (e *jobEnv) Replica() int              { return 0 }
-func (e *jobEnv) Now() float64              { return e.env.Now() }
-
-func (e *jobEnv) Send(to resilient.LogicalID, kind uint16, payload []byte) error {
-	w := int(to)
-	if w < 1 || w > len(e.workers) {
-		return nil // like sends to unknown threads: dropped silently
-	}
-	return e.env.Send(e.workers[w-1], kind, encodeEnvelope(e.jobID, e.threshold, e.parallelism, e.alg, payload))
-}
-
-// mine reports whether a raw message belongs to this job.
-func (e *jobEnv) mine(m *scplib.Message) bool {
-	id, ok := envelopeJobID(m.Payload)
-	return ok && id == e.jobID
-}
-
-// translate unwraps a raw message into logical space, or fails the job on
-// a worker-reported error.
-func (e *jobEnv) translate(m *scplib.Message) (*resilient.RMessage, error) {
-	_, _, _, _, inner, err := decodeEnvelope(m.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if m.Kind == kindJobErr {
-		return nil, fmt.Errorf("service: worker %d: %s", e.back[m.From], inner)
-	}
-	return &resilient.RMessage{From: e.back[m.From], Kind: m.Kind, Payload: inner}, nil
-}
-
-// mapErr lifts scplib errors to the resilient error space the manager's
-// phase loops test against.
-func mapErr(err error) error {
-	switch {
-	case errors.Is(err, scplib.ErrTimeout):
-		return resilient.ErrTimeout
-	case errors.Is(err, scplib.ErrKilled):
-		return resilient.ErrKilled
-	}
-	return err
-}
-
-func (e *jobEnv) Recv() (*resilient.RMessage, error) {
-	m, err := e.env.RecvMatch(e.mine)
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	return e.translate(m)
-}
-
-func (e *jobEnv) RecvTimeout(seconds float64) (*resilient.RMessage, error) {
-	m, err := e.env.RecvMatchTimeout(e.mine, seconds)
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	return e.translate(m)
-}
-
-func (e *jobEnv) RecvMatch(match func(*resilient.RMessage) bool) (*resilient.RMessage, error) {
-	return e.recvMatch(match, -1)
-}
-
-func (e *jobEnv) RecvMatchTimeout(match func(*resilient.RMessage) bool, seconds float64) (*resilient.RMessage, error) {
-	return e.recvMatch(match, seconds)
-}
-
-func (e *jobEnv) recvMatch(match func(*resilient.RMessage) bool, seconds float64) (*resilient.RMessage, error) {
-	raw := func(m *scplib.Message) bool {
-		if !e.mine(m) {
-			return false
+	// The scan terminates unless every base in [base0, max) is held by a
+	// running job — ~8k concurrent jobs, far beyond what the pool admits.
+	for {
+		if a.nextBase+clusterPhysStride > clusterPhysMax {
+			a.nextBase = clusterPhysBase0
 		}
-		if m.Kind == kindJobErr {
-			return true // always surface job failures
+		base := a.nextBase
+		a.nextBase += clusterPhysStride
+		if _, busy := a.inUse[base]; !busy {
+			a.inUse[base] = struct{}{}
+			return base
 		}
-		rm, err := e.translate(m)
-		if err != nil {
-			return true // surface decode errors too
-		}
-		return match(rm)
 	}
-	var m *scplib.Message
-	var err error
-	if seconds < 0 {
-		m, err = e.env.RecvMatch(raw)
+}
+
+// releaseBase returns a finished job's base to the free list.
+func (a *baseAllocator) releaseBase(base scplib.ThreadID) {
+	a.mu.Lock()
+	if _, busy := a.inUse[base]; busy {
+		delete(a.inUse, base)
+		a.freeBases = append(a.freeBases, base)
+	}
+	a.mu.Unlock()
+}
+
+// execute runs one job's fusion protocol: on the fusionworkerd fleet in
+// cluster mode, else — or when the cluster cannot take the job — on the
+// pool's in-process system. Scene jobs stream row tiles straight off the
+// spooled file through the handle the job has held since submit, with
+// one-tile read-ahead over the decomposition the manager will derive.
+// The read-ahead is drained before execute returns: a transform-phase
+// cache-miss resend starts one that nobody consumes, and finish() closes
+// the spool handle under it.
+func (p *Pool) execute(job *Job) (*core.Result, error) {
+	// The recorder rides in a copy of the options: job.opts (and its
+	// ResultKey, computed at enqueue) stays trace-free, so caching and
+	// the canonical-options echo are untouched.
+	opts := job.opts
+	opts.Trace = job.trace
+	var src core.CubeSource
+	if job.sceneID == "" {
+		src = core.MemSource(job.cube)
 	} else {
-		m, err = e.env.RecvMatchTimeout(raw, seconds)
+		rdr, err := scene.NewReaderFrom(job.sceneHdr, job.sceneFile)
+		if err != nil {
+			return nil, fmt.Errorf("service: opening scene %s: %w", job.sceneID, err)
+		}
+		tiler := scene.NewPrefetchTiler(scene.NewTiler(rdr), opts.TileRanges(job.sceneHdr.Lines))
+		tiler.OnRead = p.metrics.sceneTileRead
+		defer tiler.Drain()
+		src = &sceneSource{tiler: tiler, job: job}
 	}
+	if p.cluster != nil {
+		if res, ok := p.runCluster(job, src, opts); ok {
+			return res, nil
+		}
+	}
+	res, _, err := p.runOn(p.sys, src, opts, nil)
+	return res, err
+}
+
+// runOn runs one job through core.StartJob on sys under a phys-ID base
+// no other running job holds, and waits for it. watch, when non-nil,
+// sees the started job's runtime before the wait. The returned runtime
+// is nil when the job never started.
+func (p *Pool) runOn(sys scplib.System, src core.CubeSource, opts core.Options, watch func(*resilient.Runtime)) (*core.Result, *resilient.Runtime, error) {
+	base := p.bases.allocBase()
+	defer p.bases.releaseBase(base)
+	rj, err := core.StartJob(sys, src, opts, base, p.metrics.observeStage)
 	if err != nil {
-		return nil, mapErr(err)
+		return nil, nil, err
 	}
-	return e.translate(m)
-}
-
-func (e *jobEnv) Compute(flops float64) error { return e.env.Compute(flops) }
-
-func (e *jobEnv) Logf(format string, args ...any) { e.env.Logf(format, args...) }
-
-// stopWorkers retires this job's state on every pooled worker. The
-// manager protocol already sends per-worker stops on success; this sweep
-// also covers failed jobs, and duplicate stops are no-ops worker-side.
-func (e *jobEnv) stopWorkers() {
-	for _, id := range e.workers {
-		_ = e.env.Send(id, core.KindStop, encodeEnvelope(e.jobID, 0, 0, 0, nil))
+	if watch != nil {
+		watch(rj.Runtime())
 	}
+	res, err := rj.Wait()
+	return res, rj.Runtime(), err
 }
-
-var _ resilient.REnv = (*jobEnv)(nil)

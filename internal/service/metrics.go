@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"time"
 
+	"resilientfusion/internal/core"
 	"resilientfusion/internal/telemetry"
 )
 
@@ -41,8 +42,8 @@ type poolMetrics struct {
 
 	httpDuration *telemetry.HistogramVec
 
-	// Pre-resolved per-stage children so the pooled workers' hot message
-	// loop pays one atomic histogram observe, not a vec lookup.
+	// Pre-resolved per-stage children so the workers' hot message loop
+	// pays one atomic histogram observe, not a vec lookup.
 	stageScreen     *telemetry.Histogram
 	stageCovariance *telemetry.Histogram
 	stageTransform  *telemetry.Histogram
@@ -103,7 +104,7 @@ func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
 			telemetry.DefBuckets, "route", "status"),
 	}
 	stages := reg.HistogramVec("fusion_worker_stage_seconds",
-		"Pooled-worker kernel latency by pipeline stage.", stageBuckets, "stage")
+		"In-process worker kernel latency by pipeline stage.", stageBuckets, "stage")
 	m.stageScreen = stages.With("screen")
 	m.stageCovariance = stages.With("covariance")
 	m.stageTransform = stages.With("transform")
@@ -137,6 +138,27 @@ func newPoolMetrics(reg *telemetry.Registry, p *Pool) *poolMetrics {
 		return int64(len(p.scenes))
 	})
 	return m
+}
+
+// observeStage is the core.StageObserver of every job the pool starts:
+// it files a worker's request-handling time under its pipeline stage
+// (kinds that are not kernel stages are ignored). Remote replicas are
+// rebuilt without it, so the histogram covers in-process workers.
+func (m *poolMetrics) observeStage(kind uint16, seconds float64) {
+	var h *telemetry.Histogram
+	switch kind {
+	case core.KindScreenReq:
+		h = m.stageScreen
+	case core.KindCovReq:
+		h = m.stageCovariance
+	case core.KindTransformReq:
+		h = m.stageTransform
+	case core.KindFuseReq:
+		h = m.stageFuse
+	default:
+		return
+	}
+	h.Observe(seconds)
 }
 
 // sceneTileRead is the scene.PrefetchTiler.OnRead hook: every tile read

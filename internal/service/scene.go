@@ -319,7 +319,7 @@ func (p *Pool) RemoveScene(id string) error {
 }
 
 // FuseScene enqueues a whole-scene fusion: the job streams the scene's
-// row tiles through the pooled workers, reporting per-tile progress, and
+// row tiles through the job's workers, reporting per-tile progress, and
 // produces output bit-identical to submitting the fully-loaded cube with
 // the same options. Served from the result cache when an identical scene
 // or cube already fused.

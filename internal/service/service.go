@@ -1,13 +1,12 @@
 // Package service turns the one-shot fusion pipeline into a multi-job
-// fusion service: one long-lived scplib.RealSystem hosts a pool of
-// persistent fusion workers, and many concurrent jobs are multiplexed
-// over it — each job spawns only a lightweight manager thread that drives
-// the paper's 8-step protocol (core.RunManager) against the shared
-// workers, with messages scoped by job envelope. Compared to core.Fuse
-// per request, the pool pays system construction and worker spawn once,
-// admission-controls incoming jobs (bounded queue, bounded concurrency),
-// and answers repeated scenes from a content-addressed result cache keyed
-// by cube digest + canonicalized options.
+// fusion service: one long-lived scplib.RealSystem hosts every job, and
+// each running job is the paper's manager and workers started on it by
+// core.StartJob — the same 8-step protocol over the resilient layer that
+// cluster mode runs across fusionworkerd processes. Compared to core.Fuse
+// per request, the pool admission-controls incoming jobs (bounded queue,
+// bounded concurrency), bounds the physical thread IDs a long-lived
+// system hands out, and answers repeated scenes from a content-addressed
+// result cache keyed by cube digest + canonicalized options.
 //
 // Handler exposes the pool over HTTP (the v2 resource API and its v1
 // query-string translation); cmd/fusiond serves it and examples/service
@@ -28,9 +27,7 @@ import (
 	"time"
 
 	"resilientfusion/internal/core"
-	"resilientfusion/internal/fuse"
 	"resilientfusion/internal/hsi"
-	"resilientfusion/internal/scene"
 	"resilientfusion/internal/scplib"
 	"resilientfusion/internal/store"
 	"resilientfusion/internal/telemetry"
@@ -62,10 +59,12 @@ var (
 
 // Config tunes a Pool.
 type Config struct {
-	// Workers is the number of persistent fusion workers (default 4).
+	// Workers is the number of fusion worker threads each running job
+	// gets (default 4); it also sets every job's decomposition.
 	Workers int
 	// MaxConcurrent is how many jobs run at once (default 2). Each
-	// running job holds one manager thread; workers are shared.
+	// running job holds one manager thread and its own Workers worker
+	// threads for the length of the run.
 	MaxConcurrent int
 	// QueueDepth bounds jobs waiting beyond the running ones (default
 	// 64); submissions past it are rejected with ErrQueueFull.
@@ -206,24 +205,23 @@ type StoreStats struct {
 
 // Pool is the multi-job fusion service.
 type Pool struct {
-	cfg       Config
-	sys       *scplib.RealSystem
-	cluster   *clusterState // nil unless cluster mode is on
-	workerIDs []scplib.ThreadID
-	cache     *resultCache
-	metrics   *poolMetrics
-	queue     chan *Job
-	wg        sync.WaitGroup // dispatcher goroutines
-	t0        time.Time
-	shut      chan struct{} // closed once Close has drained every job
+	cfg     Config
+	sys     *scplib.RealSystem
+	cluster *clusterState  // nil unless cluster mode is on
+	bases   *baseAllocator // running jobs' phys-ID ranges, both systems
+	cache   *resultCache
+	metrics *poolMetrics
+	queue   chan *Job
+	wg      sync.WaitGroup // dispatcher goroutines
+	t0      time.Time
+	shut    chan struct{} // closed once Close has drained every job
 
-	mu         sync.Mutex
-	closed     bool
-	jobs       map[string]*Job
-	doneOrder  []string // finished jobs, oldest first (eviction order)
-	nextJob    uint64
-	nextThread scplib.ThreadID
-	running    int
+	mu        sync.Mutex
+	closed    bool
+	jobs      map[string]*Job
+	doneOrder []string // finished jobs, oldest first (eviction order)
+	nextJob   uint64
+	running   int
 
 	// Scene registry (see scene.go). spoolDir is resolved at NewPool;
 	// ownSpool marks a pool-created temporary directory removed by Close.
@@ -241,8 +239,8 @@ type Pool struct {
 	recovery *RecoveryReport
 }
 
-// NewPool builds and starts a pool: the system begins running with all
-// workers spawned, and MaxConcurrent dispatchers wait for jobs.
+// NewPool builds and starts a pool: the system begins running, and
+// MaxConcurrent dispatchers wait for jobs.
 func NewPool(cfg Config) (*Pool, error) {
 	cfg = cfg.withDefaults()
 	sys := scplib.NewRealSystem()
@@ -252,15 +250,15 @@ func NewPool(cfg Config) (*Pool, error) {
 		reg = telemetry.NewRegistry()
 	}
 	p := &Pool{
-		cfg:        cfg,
-		sys:        sys,
-		queue:      make(chan *Job, cfg.QueueDepth),
-		shut:       make(chan struct{}),
-		t0:         time.Now(),
-		jobs:       make(map[string]*Job),
-		scenes:     make(map[string]*sceneEntry),
-		spoolDir:   cfg.SpoolDir,
-		nextThread: scplib.ThreadID(cfg.Workers + 1),
+		cfg:      cfg,
+		sys:      sys,
+		bases:    newBaseAllocator(),
+		queue:    make(chan *Job, cfg.QueueDepth),
+		shut:     make(chan struct{}),
+		t0:       time.Now(),
+		jobs:     make(map[string]*Job),
+		scenes:   make(map[string]*sceneEntry),
+		spoolDir: cfg.SpoolDir,
 	}
 	p.metrics = newPoolMetrics(reg, p)
 	if p.spoolDir == "" {
@@ -295,19 +293,8 @@ func NewPool(cfg Config) (*Pool, error) {
 		p.cluster = cl
 		p.logf("cluster: coordinator listening on %s for %d workers", cl.sys.Addr(), cl.cfg.Workers)
 	}
-	// The in-process pool always exists: in cluster mode it is the
+	// The in-process system always runs: in cluster mode it is the
 	// graceful-degradation path for jobs below quorum.
-	for w := 1; w <= cfg.Workers; w++ {
-		id := scplib.ThreadID(w)
-		if err := sys.Spawn(scplib.ThreadSpec{
-			ID:   id,
-			Name: fmt.Sprintf("poolworker%d", w),
-			Body: poolWorkerBody(p.metrics),
-		}); err != nil {
-			return nil, err
-		}
-		p.workerIDs = append(p.workerIDs, id)
-	}
 	sys.Start()
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		p.wg.Add(1)
@@ -367,20 +354,16 @@ func (p *Pool) canonicalOptions(opts core.Options) (core.Options, error) {
 	opts.Workers = p.cfg.Workers
 	opts.Replication = 1
 	opts.Regenerate = false
-	// Pooled workers serve many jobs concurrently: share the host's
-	// parallelism across the pool by default instead of letting every
-	// worker's kernels fan out to GOMAXPROCS. Explicit client settings
-	// win; results are identical either way (fixed shard grids).
+	// A job's workers compute concurrently: share the host's parallelism
+	// among them by default instead of letting every worker's kernels fan
+	// out to GOMAXPROCS. Explicit client settings win; results are
+	// identical either way (fixed shard grids).
 	if opts.Parallelism == 0 {
 		opts.Parallelism = core.SharedKernelParallelism(p.cfg.Workers)
 	}
 	opts = opts.Canonical()
-	if _, ok := fuse.Lookup(opts.Algorithm); !ok {
-		return opts, fmt.Errorf("%w: unknown algorithm %q (have %v)",
-			core.ErrBadOptions, opts.Algorithm, fuse.Names())
-	}
-	if opts.Components < 3 {
-		return opts, fmt.Errorf("%w: need >=3 components for color mapping", core.ErrBadOptions)
+	if err := opts.Validate(); err != nil {
+		return opts, err
 	}
 	if opts.Granularity < 1 {
 		return opts, fmt.Errorf("%w: Granularity=%d", core.ErrBadOptions, opts.Granularity)
@@ -681,9 +664,9 @@ func (p *Pool) Stats() Stats {
 	return s
 }
 
-// Close stops accepting jobs, drains queued and running ones, then tears
-// the worker pool down. It returns the system's combined thread errors
-// (nil in normal operation).
+// Close stops accepting jobs, drains queued and running ones, then stops
+// the system. It returns the system's combined thread errors (nil in
+// normal operation).
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -701,7 +684,7 @@ func (p *Pool) Close() error {
 		p.cluster.sys.Stop()
 		p.cluster.sys.Close()
 	}
-	p.sys.Stop() // kill persistent workers
+	p.sys.Stop() // kill any thread of a finished job still unwinding
 	err := p.sys.Wait()
 	// Release spooled scenes after the drain: queued scene jobs read
 	// their files until the dispatchers finish. Durable pools keep the
@@ -732,7 +715,7 @@ func (p *Pool) dispatch() {
 	}
 }
 
-// runJob executes one job over the shared worker pool.
+// runJob executes one job and records its outcome.
 func (p *Pool) runJob(job *Job) {
 	p.mu.Lock()
 	// Canceled while queued: the terminal transition already happened
@@ -744,8 +727,6 @@ func (p *Pool) runJob(job *Job) {
 	job.state = StateRunning
 	job.started = time.Now()
 	p.running++
-	tid := p.nextThread
-	p.nextThread++
 	p.mu.Unlock()
 	p.journalStart(job)
 	defer func() {
@@ -762,78 +743,11 @@ func (p *Pool) runJob(job *Job) {
 		}
 	}
 
-	// Cluster mode first; a false return degrades to the in-process pool.
-	if p.cluster != nil && p.runJobCluster(job) {
-		return
-	}
-
-	res := &core.Result{}
-	errc := make(chan error, 1)
-	// canonicalOptions validated the algorithm at submit, so the lookup
-	// cannot miss here; the ID rides in every envelope so pooled workers
-	// build the right per-job state from the first message.
-	alg, _ := fuse.Lookup(job.opts.Algorithm)
-	spawnErr := p.sys.Spawn(scplib.ThreadSpec{
-		ID:   tid,
-		Name: fmt.Sprintf("jobmgr-%d", job.num),
-		Body: func(env scplib.Env) error {
-			je := newJobEnv(env, job.num, job.opts.Threshold, job.opts.Parallelism, alg.ID, p.workerIDs)
-			// The recorder rides in a copy of the options: job.opts (and
-			// its ResultKey, computed at enqueue) stays trace-free, so
-			// caching and the canonical-options echo are untouched.
-			opts := job.opts
-			opts.Trace = job.trace
-			var jobErr error
-			// The errc send must happen on every exit — including a panic
-			// in the manager protocol, which scplib's thread wrapper would
-			// otherwise swallow, wedging this dispatcher forever.
-			defer func() {
-				if r := recover(); r != nil {
-					jobErr = fmt.Errorf("service: job manager panic: %v", r)
-				}
-				je.stopWorkers()
-				errc <- jobErr
-			}()
-			if job.sceneID != "" {
-				// Scene jobs stream row tiles straight off the spooled
-				// file, through the handle the job has held since submit
-				// (finish() closes it; tile reads are manager-thread
-				// sequential). The tiler is wrapped with one-tile
-				// read-ahead over the decomposition the manager will
-				// derive, so the next row-window decodes off disk while
-				// the current tile is on the wire; the drain runs before
-				// finish() can close the spool handle under a prefetch.
-				rdr, err := scene.NewReaderFrom(job.sceneHdr, job.sceneFile)
-				if err != nil {
-					jobErr = fmt.Errorf("service: opening scene %s: %w", job.sceneID, err)
-					return nil
-				}
-				tiler := scene.NewPrefetchTiler(scene.NewTiler(rdr),
-					opts.TileRanges(job.sceneHdr.Lines))
-				tiler.OnRead = p.metrics.sceneTileRead
-				defer tiler.Drain()
-				src := &sceneSource{tiler: tiler, job: job}
-				jobErr = core.RunManagerSource(je, src, opts, res)
-			} else {
-				jobErr = core.RunManager(je, job.cube, opts, res)
-			}
-			// Job failures are reported on the job, not accumulated as
-			// system errors.
-			return nil
-		},
-	})
-	if spawnErr != nil {
-		p.finish(job, nil, spawnErr, false)
-		return
-	}
-	if err := <-errc; err != nil {
-		p.finish(job, nil, err, false)
-		return
-	}
-	if job.key != "" {
+	res, err := p.execute(job)
+	if err == nil && job.key != "" {
 		p.cache.put(job.key, res)
 	}
-	p.finish(job, res, nil, false)
+	p.finish(job, res, err, false)
 }
 
 // finish moves a job to its terminal state and evicts old finished jobs.

@@ -11,6 +11,7 @@ import (
 
 	"resilientfusion/internal/core"
 	"resilientfusion/internal/hsi"
+	"resilientfusion/internal/scene"
 )
 
 // testCube synthesizes a small distinct scene per seed.
@@ -48,7 +49,7 @@ func sameResult(t *testing.T, got, want *core.Result, label string) {
 
 // TestConcurrentJobsSharedPool pushes 32 concurrent, distinct jobs
 // through one pooled system and checks every result bit-for-bit against
-// the sequential oracle — per-job isolation over shared workers.
+// the sequential oracle — per-job isolation on one shared system.
 func TestConcurrentJobsSharedPool(t *testing.T) {
 	const jobs = 32
 	pool, err := NewPool(Config{Workers: 4, MaxConcurrent: 8, QueueDepth: jobs})
@@ -458,5 +459,62 @@ func TestSubmittedCountsAcceptedOnly(t *testing.T) {
 	st := pool.Stats()
 	if st.Submitted != accepted || st.Rejected != rejected {
 		t.Errorf("stats submitted=%d rejected=%d, want %d/%d", st.Submitted, st.Rejected, accepted, rejected)
+	}
+}
+
+// TestJobsLeaveNoThreads runs every kind of job the pool executes — pct
+// and tile-algorithm cubes, a streamed scene, and a canceled queued job —
+// and requires the pool's system to end with no live thread: each job's
+// manager, workers and guardian exist only for the length of its run.
+func TestJobsLeaveNoThreads(t *testing.T) {
+	pool, err := NewPool(Config{Workers: 2, MaxConcurrent: 1, CacheEntries: -1, SpoolDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+
+	hdr, data := enviPayload(t, testCube(t, 92), scene.BIL)
+	info, err := pool.RegisterScene(hdr, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for _, alg := range []string{"pct", "pyramid"} {
+		st, err := pool.Submit(testCube(t, 91), core.Options{Threshold: 0.05, Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	st, err := pool.FuseScene(info.ID, core.Options{Threshold: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids = append(ids, st.ID)
+	for _, id := range ids {
+		if st, err := pool.Wait(id); err != nil || st.State != StateDone {
+			t.Fatalf("job %s: %v %s (%v)", id, err, st.State, st.Err)
+		}
+	}
+
+	slow := submitSlow(t, pool)
+	queued, err := pool.Submit(testCube(t, 93), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := pool.Cancel(queued.ID); err != nil || st.State != StateCanceled {
+		t.Fatalf("cancel queued job: %v %+v", err, st)
+	}
+	if st, err := pool.Wait(slow.ID); err != nil || st.State != StateDone {
+		t.Fatalf("slow job: %v %s (%v)", err, st.State, st.Err)
+	}
+
+	// Killed threads finish unwinding just after their job reports done.
+	deadline := time.Now().Add(5 * time.Second)
+	for pool.sys.Live() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d threads still live after every job finished", pool.sys.Live())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
