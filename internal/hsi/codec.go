@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"io"
 	"math"
 	"os"
@@ -166,9 +167,27 @@ func ReadCube(r io.Reader) (*Cube, error) { return ReadCubeLimit(r, 0) }
 // otherwise demand a multi-terabyte allocation. limit <= 0 disables the
 // bound.
 func ReadCubeLimit(r io.Reader, limit int64) (*Cube, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	return readCube(r, limit, nil)
+}
+
+// readCube is the one HSIC decoder. It consumes exactly the bytes the
+// header claims — no read-ahead, so a caller can probe r for trailing
+// bytes — and, when h is non-nil, feeds every consumed byte to h in
+// order. It accepts only canonical encodings (flag bits other than bit 0
+// are rejected), so re-encoding a decoded cube reproduces the bytes read
+// exactly and h sees what Cube.Digest would hash.
+func readCube(r io.Reader, limit int64, h hash.Hash) (*Cube, error) {
+	read := func(b []byte) error {
+		if _, err := io.ReadFull(r, b); err != nil {
+			return err
+		}
+		if h != nil {
+			h.Write(b) // hash.Hash.Write never returns an error
+		}
+		return nil
+	}
 	hdr := make([]byte, 20)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if err := read(hdr); err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrBadFormat, err)
 	}
 	if [4]byte(hdr[:4]) != cubeMagic {
@@ -178,6 +197,9 @@ func ReadCubeLimit(r io.Reader, limit int64) (*Cube, error) {
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, v)
 	}
 	flags := binary.LittleEndian.Uint16(hdr[6:])
+	if flags&^flagHasWavelengths != 0 {
+		return nil, fmt.Errorf("%w: unknown flags %#x", ErrBadFormat, flags)
+	}
 	width := int(binary.LittleEndian.Uint32(hdr[8:]))
 	height := int(binary.LittleEndian.Uint32(hdr[12:]))
 	bands := int(binary.LittleEndian.Uint32(hdr[16:]))
@@ -199,7 +221,7 @@ func ReadCubeLimit(r io.Reader, limit int64) (*Cube, error) {
 	c := &Cube{Width: width, Height: height, Bands: bands}
 	if flags&flagHasWavelengths != 0 {
 		buf := make([]byte, 8*bands)
-		if _, err := io.ReadFull(br, buf); err != nil {
+		if err := read(buf); err != nil {
 			return nil, fmt.Errorf("%w: wavelengths: %v", ErrBadFormat, err)
 		}
 		c.Wavelengths = make([]float64, bands)
@@ -212,16 +234,15 @@ func ReadCubeLimit(r io.Reader, limit int64) (*Cube, error) {
 	const chunk = 1 << 14
 	buf := make([]byte, 4*chunk)
 	for off := 0; off < len(c.Data); off += chunk {
-		end := off + chunk
-		if end > len(c.Data) {
-			end = len(c.Data)
-		}
-		b := buf[:4*(end-off)]
-		if _, err := io.ReadFull(br, b); err != nil {
+		dst := c.Data[off:min(off+chunk, len(c.Data))]
+		b := buf[:4*len(dst)]
+		if err := read(b); err != nil {
 			return nil, fmt.Errorf("%w: samples: %v", ErrBadFormat, err)
 		}
-		for i := range c.Data[off:end] {
-			c.Data[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+		// Indexing the re-sliced dst, with each source word sliced to its
+		// exact four bytes, leaves one bounds check per sample.
+		for i := range dst {
+			dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i : 4*i+4]))
 		}
 	}
 	return c, nil

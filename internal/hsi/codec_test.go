@@ -2,6 +2,7 @@ package hsi
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -51,12 +52,27 @@ func TestCodecRoundTripNoWavelengths(t *testing.T) {
 	}
 }
 
+// withFlags returns enc with its header's flags word replaced.
+func withFlags(enc []byte, flags uint16) []byte {
+	out := bytes.Clone(enc)
+	binary.LittleEndian.PutUint16(out[6:], flags)
+	return out
+}
+
 func TestCodecRejectsGarbage(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := testCube(t, 2, 2, 3, 26).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
 	cases := [][]byte{
 		nil,
 		[]byte("short"),
 		[]byte("XXXX................"), // bad magic
 		append([]byte("HSIC"), bytes.Repeat([]byte{9}, 16)...), // absurd dims / version
+		// Only flag bit 0 is defined; any other bit would make a second
+		// encoding of the same cube, breaking digest-as-you-decode.
+		withFlags(buf.Bytes(), 0x2),
+		withFlags(buf.Bytes(), 0x3),
 	}
 	for i, b := range cases {
 		if _, err := ReadCube(bytes.NewReader(b)); !errors.Is(err, ErrBadFormat) {

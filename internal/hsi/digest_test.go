@@ -82,3 +82,57 @@ func TestReadCubeLimit(t *testing.T) {
 		t.Fatalf("no limit: %v", err)
 	}
 }
+
+func TestReadCubeDigestMatchesDigest(t *testing.T) {
+	withWL := testCube(t, 5, 3, 4, 27)
+	noWL := testCube(t, 3, 5, 2, 28)
+	noWL.Wavelengths = nil
+	for _, c := range []*Cube{withWL, noWL} {
+		var buf bytes.Buffer
+		if _, err := c.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		want, err := c.Digest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, got, err := ReadCubeDigest(bytes.NewReader(buf.Bytes()), c.EncodedSize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("one-pass digest %s, Cube.Digest %s", got, want)
+		}
+		if !c.Equal(d, 0) || (d.Wavelengths == nil) != (c.Wavelengths == nil) {
+			t.Fatal("decoded cube differs")
+		}
+	}
+}
+
+func TestReadCubeDigestLeavesTrailingBytes(t *testing.T) {
+	c := testCube(t, 2, 2, 2, 29)
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("tail")
+	if _, _, err := ReadCubeDigest(&buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if rest := buf.String(); rest != "tail" {
+		t.Fatalf("decoder consumed past the cube: %q left", rest)
+	}
+}
+
+func TestReadCubeDigestRejects(t *testing.T) {
+	if _, _, err := ReadCubeDigest(bytes.NewReader([]byte("HSIC")), 0); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("short header err = %v", err)
+	}
+	var buf bytes.Buffer
+	if _, err := testCube(t, 4, 4, 4, 30).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ReadCubeDigest(bytes.NewReader(buf.Bytes()), 64); !errors.Is(err, ErrCubeTooLarge) {
+		t.Fatalf("oversize err = %v", err)
+	}
+}

@@ -1,7 +1,9 @@
 package service
 
 import (
+	"bytes"
 	"container/list"
+	"image/png"
 	"sync"
 
 	"resilientfusion/internal/core"
@@ -12,15 +14,18 @@ import (
 // resultCache is a content-addressed LRU of completed fusion results,
 // keyed by cube digest + canonicalized options (core.Options.ResultKey).
 // Repeated scenes — the common case for a monitoring service re-imaging
-// the same area — are served without recomputation. Cached *core.Result
-// values are shared between jobs and must be treated as immutable.
+// the same area — are served without recomputation. Entries are
+// *cachedResult values shared between jobs: the result is immutable and
+// its PNG is encoded at most once per entry, so a cache hit costs no
+// re-encode.
 //
 // With a spill tier attached (Config.CacheSpillBytes), entries evicted
 // from RAM are written to content-addressed files instead of discarded:
 // a later lookup that misses RAM reloads the entry from disk (digest
 // re-validated by the store layer), re-promoting it. The spill survives
 // restarts, so a rebooted daemon answers its pre-crash repeat traffic
-// from disk instead of recomputing.
+// from disk instead of recomputing. Only the result is spilled: an
+// entry promoted back from disk encodes its PNG once more.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -40,7 +45,33 @@ type resultCache struct {
 
 type cacheEntry struct {
 	key string
+	val *cachedResult
+}
+
+// cachedResult is one completed result together with its composite's
+// PNG encoding, made on the first request and then shared by every job
+// that resolves to the result: the run that computed it, later cache
+// hits and queued twins alike.
+type cachedResult struct {
 	res *core.Result
+
+	once sync.Once
+	png  []byte
+	err  error
+}
+
+func newCachedResult(res *core.Result) *cachedResult { return &cachedResult{res: res} }
+
+// imagePNG returns the composite encoded as PNG, encoding it at most
+// once; concurrent callers wait for the first encode and share its
+// bytes. The caller checks that res.Image is set.
+func (r *cachedResult) imagePNG() ([]byte, error) {
+	r.once.Do(func() {
+		var buf bytes.Buffer
+		r.err = png.Encode(&buf, r.res.Image)
+		r.png = buf.Bytes()
+	})
+	return r.png, r.err
 }
 
 // newResultCache builds a cache holding up to capacity results;
@@ -71,19 +102,19 @@ func (c *resultCache) attachSpill(spill *store.Spill, logf func(format string, a
 // get returns the cached result for key, counting a hit or miss. A RAM
 // miss falls through to the spill tier; a spilled entry counts as a hit
 // (it is served without recomputation) and is promoted back into RAM.
-func (c *resultCache) get(key string) (*core.Result, bool) {
+func (c *resultCache) get(key string) (*cachedResult, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits.Inc()
 		c.mu.Unlock()
-		return el.Value.(*cacheEntry).res, true
+		return el.Value.(*cacheEntry).val, true
 	}
 	c.mu.Unlock()
-	if res, ok := c.fromSpill(key); ok {
+	if val, ok := c.fromSpill(key); ok {
 		c.hits.Inc()
-		c.put(key, res)
-		return res, true
+		c.put(key, val)
+		return val, true
 	}
 	c.misses.Inc()
 	return nil, false
@@ -93,12 +124,12 @@ func (c *resultCache) get(key string) (*core.Result, bool) {
 // (used for the re-check after a queued job's twin completed first).
 // It still consults the spill tier — a result is a result — but leaves
 // the entry on disk.
-func (c *resultCache) peek(key string) (*core.Result, bool) {
+func (c *resultCache) peek(key string) (*cachedResult, bool) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
-		res := el.Value.(*cacheEntry).res
+		val := el.Value.(*cacheEntry).val
 		c.mu.Unlock()
-		return res, true
+		return val, true
 	}
 	c.mu.Unlock()
 	if c.spill == nil {
@@ -110,7 +141,7 @@ func (c *resultCache) peek(key string) (*core.Result, bool) {
 // fromSpill loads and decodes one spilled entry. Corrupt or undecodable
 // entries are dropped (the store layer already removed the file on a
 // digest mismatch) and report a miss.
-func (c *resultCache) fromSpill(key string) (*core.Result, bool) {
+func (c *resultCache) fromSpill(key string) (*cachedResult, bool) {
 	if c.spill == nil {
 		return nil, false
 	}
@@ -132,14 +163,14 @@ func (c *resultCache) fromSpill(key string) (*core.Result, bool) {
 		return nil, false
 	}
 	c.spillHits.Inc()
-	return res, true
+	return newCachedResult(res), true
 }
 
 // put stores a result, evicting the least recently used entry on
 // overflow. With a spill tier attached, evicted entries are written to
 // disk (outside the cache lock — encoding and fsync must not stall
 // concurrent lookups).
-func (c *resultCache) put(key string, res *core.Result) {
+func (c *resultCache) put(key string, val *cachedResult) {
 	if c.cap <= 0 {
 		return
 	}
@@ -147,11 +178,11 @@ func (c *resultCache) put(key string, res *core.Result) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = res
+		el.Value.(*cacheEntry).val = val
 		c.mu.Unlock()
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, res: res})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -172,7 +203,7 @@ func (c *resultCache) put(key string, res *core.Result) {
 // only the spill (the entry is simply gone, as it would be without the
 // tier), never the caller.
 func (c *resultCache) spillEntry(ent *cacheEntry) {
-	payload, err := encodeResult(ent.res)
+	payload, err := encodeResult(ent.val.res)
 	if err == nil {
 		err = c.spill.Put(ent.key, payload)
 	}

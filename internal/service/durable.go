@@ -370,11 +370,11 @@ func (p *Pool) requeue(job *Job) (resolved bool) {
 	p.metrics.jobsSubmitted.Inc()
 	p.metrics.jobsByAlgorithm.With(job.opts.Algorithm).Inc()
 	if job.key != "" {
-		if res, ok := p.cache.get(job.key); ok {
+		if hit, ok := p.cache.get(job.key); ok {
 			if job.sceneID != "" {
 				job.markTilesComplete()
 			}
-			p.finish(job, res, nil, true)
+			p.finish(job, hit, nil, true)
 			return true
 		}
 	}

@@ -210,14 +210,16 @@ func (p *Pool) Handler() http.Handler {
 	return p.httpMiddleware(mux)
 }
 
-// submitJob admits one cube job read by the version's decode.
-func (p *Pool) submitJob(decode func(*http.Request) (*hsi.Cube, core.Options, error)) op {
+// submitJob admits one cube job read by the version's decode. When the
+// pool caches results, decode hashes the upload in the pass that decodes
+// it, so the cache key costs no second pass over the cube.
+func (p *Pool) submitJob(decode func(r *http.Request, hash bool) (*hsi.Cube, string, core.Options, error)) op {
 	return func(r *http.Request) (int, any, error) {
-		cube, opts, err := decode(r)
+		cube, digest, opts, err := decode(r, p.cfg.CacheEntries > 0)
 		if err != nil {
 			return 0, nil, err
 		}
-		st, err := p.Submit(cube, opts)
+		st, err := p.submitCube(cube, digest, opts)
 		if err != nil {
 			return 0, nil, err
 		}
@@ -313,19 +315,36 @@ func (p *Pool) sceneResult(r *http.Request) (int, any, error) {
 	return http.StatusOK, pngBytes(data), err
 }
 
-// readUploadCube decodes an uploaded HSIC cube. ReadCubeLimit bounds the
-// upload by the header's claimed dimensions before allocating (a 20-byte
-// request must not demand a terabyte) and then reads exactly the claimed
-// bytes, so no separate body cap is needed.
-func readUploadCube(r io.Reader) (*hsi.Cube, error) {
-	cube, err := hsi.ReadCubeLimit(r, maxCubeBytes)
+// readUploadCube decodes an uploaded HSIC cube that makes up the rest of
+// r. The decoder bounds the upload by the header's claimed dimensions
+// before allocating (a 20-byte request must not demand a terabyte) and
+// then reads exactly the claimed bytes, so no separate body cap is
+// needed; a byte past them fails the upload. With hash set it also
+// returns the cube's digest, the SHA-256 of the upload's bytes computed
+// in the decoding pass.
+func readUploadCube(r io.Reader, hash bool) (*hsi.Cube, string, error) {
+	var cube *hsi.Cube
+	var digest string
+	var err error
+	if hash {
+		cube, digest, err = hsi.ReadCubeDigest(r, maxCubeBytes)
+	} else {
+		cube, err = hsi.ReadCubeLimit(r, maxCubeBytes)
+	}
 	switch {
 	case errors.Is(err, hsi.ErrCubeTooLarge):
-		return nil, reject(hsi.ErrCubeTooLarge, "cube exceeds the %d-byte upload limit", maxCubeBytes)
+		return nil, "", reject(hsi.ErrCubeTooLarge, "cube exceeds the %d-byte upload limit", maxCubeBytes)
 	case err != nil:
-		return nil, reject(errBadPayload, "decoding cube: %v", err)
+		return nil, "", reject(errBadPayload, "decoding cube: %v", err)
 	}
-	return cube, nil
+	switch eof, err := atEOF(r); {
+	case err != nil:
+		return nil, "", reject(errBadPayload, "reading cube upload: %v", err)
+	case !eof:
+		return nil, "", reject(errBadPayload, "cube upload overruns the %d bytes its %dx%dx%d header claims",
+			cube.EncodedSize(), cube.Width, cube.Height, cube.Bands)
+	}
+	return cube, digest, nil
 }
 
 // sceneFromMultipart parses the two-part scene upload — a "header" part
@@ -355,13 +374,13 @@ func (p *Pool) sceneFromMultipart(r *http.Request) (SceneInfo, error) {
 
 // v1JobRequest reads a v1 submission: options in the query, the HSIC
 // cube as the raw body.
-func v1JobRequest(r *http.Request) (*hsi.Cube, core.Options, error) {
+func v1JobRequest(r *http.Request, hash bool) (*hsi.Cube, string, core.Options, error) {
 	opts, err := optionsFromQuery(r)
 	if err != nil {
-		return nil, opts, err
+		return nil, "", opts, err
 	}
-	cube, err := readUploadCube(r.Body)
-	return cube, opts, err
+	cube, digest, err := readUploadCube(r.Body, hash)
+	return cube, digest, opts, err
 }
 
 // optionsFromQuery builds per-job options from request query parameters

@@ -232,6 +232,68 @@ func TestHTTPOversizedUpload(t *testing.T) {
 	}
 }
 
+// TestHTTPUploadOverrun rejects a v1 body carrying bytes past the
+// geometry its HSIC header claims, so the digest hashed while decoding
+// always covers the whole upload.
+func TestHTTPUploadOverrun(t *testing.T) {
+	pool, err := NewPool(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	srv := httptest.NewServer(pool.Handler())
+	defer srv.Close()
+
+	var body bytes.Buffer
+	if _, err := testCube(t, 2).WriteTo(&body); err != nil {
+		t.Fatal(err)
+	}
+	body.WriteByte(0)
+	resp, err := srv.Client().Post(srv.URL+"/v1/jobs", "application/octet-stream", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(out.Error, "overruns") {
+		t.Fatalf("overrun upload: status %d error %q, want 400 overrun", resp.StatusCode, out.Error)
+	}
+	if s := pool.Stats(); s.Submitted != 0 {
+		t.Errorf("overrun upload admitted %d jobs", s.Submitted)
+	}
+}
+
+// TestHTTPUploadDigestKeysLikeSubmit: the digest an upload is hashed to
+// while it decodes keys the cache exactly as Pool.Submit's Cube.Digest
+// does, on both API versions.
+func TestHTTPUploadDigestKeysLikeSubmit(t *testing.T) {
+	pool, err := NewPool(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	srv := httptest.NewServer(pool.Handler())
+	defer srv.Close()
+
+	cube := testCube(t, 5)
+	st, err := pool.Submit(cube, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Wait(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if job := decodeJob(t, postCube(t, srv.Client(), srv.URL+"/v1/jobs", cube)); !job.CacheHit {
+		t.Errorf("v1 upload of a submitted cube missed the cache: %+v", job)
+	}
+	if job := decodeJob(t, postCubeV2(t, srv.Client(), srv.URL+"/v2/jobs", cube, "")); !job.CacheHit {
+		t.Errorf("v2 upload of a submitted cube missed the cache: %+v", job)
+	}
+}
+
 // TestHTTPExpiredImage maps an aged-out composite to 410 Gone, not 500.
 func TestHTTPExpiredImage(t *testing.T) {
 	pool, err := NewPool(Config{Workers: 2, RetainResults: 1, CacheEntries: -1})

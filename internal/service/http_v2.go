@@ -70,44 +70,44 @@ func (p *Pool) registerV2(mux *http.ServeMux) {
 // the OptionsJSON body, then a "cube" part streaming the HSIC-encoded
 // cube. Options travel in the body on v2, so a v1-style ?threshold=...
 // is rejected rather than dropped silently.
-func v2JobRequest(r *http.Request) (*hsi.Cube, core.Options, error) {
+func v2JobRequest(r *http.Request, hash bool) (*hsi.Cube, string, core.Options, error) {
 	var opts core.Options
 	if err := noQuery(r); err != nil {
-		return nil, opts, err
+		return nil, "", opts, err
 	}
 	mr, err := r.MultipartReader()
 	if err != nil {
-		return nil, opts, reject(errBadPayload, "multipart body required: %v", err)
+		return nil, "", opts, reject(errBadPayload, "multipart body required: %v", err)
 	}
 	part, err := mr.NextPart()
 	if err != nil {
-		return nil, opts, reject(errBadPayload, `multipart needs an optional "options" part then a "cube" part`)
+		return nil, "", opts, reject(errBadPayload, `multipart needs an optional "options" part then a "cube" part`)
 	}
 	if part.FormName() == "options" {
 		if opts, err = decodeOptionsBody(part); err != nil {
-			return nil, opts, err
+			return nil, "", opts, err
 		}
 		if part, err = mr.NextPart(); err != nil {
-			return nil, opts, reject(errBadPayload, `"cube" part missing after "options"`)
+			return nil, "", opts, reject(errBadPayload, `"cube" part missing after "options"`)
 		}
 	}
 	if part.FormName() != "cube" {
-		return nil, opts, reject(errBadPayload, `unexpected multipart part %q (want "cube")`, part.FormName())
+		return nil, "", opts, reject(errBadPayload, `unexpected multipart part %q (want "cube")`, part.FormName())
 	}
-	cube, err := readUploadCube(part)
+	cube, digest, err := readUploadCube(part, hash)
 	if err != nil {
-		return nil, opts, err
+		return nil, "", opts, err
 	}
 	// Multipart form fields are unordered in general; a part trailing
 	// the cube (an out-of-place "options", say) would otherwise be
 	// dropped silently — the exact failure mode unknown query keys and
 	// unknown JSON fields are rejected to prevent.
 	if extra, err := mr.NextPart(); err == nil {
-		return nil, opts, reject(errBadPayload, `unexpected multipart part %q after "cube" (options must precede the cube)`, extra.FormName())
+		return nil, "", opts, reject(errBadPayload, `unexpected multipart part %q after "cube" (options must precede the cube)`, extra.FormName())
 	} else if !errors.Is(err, io.EOF) {
-		return nil, opts, reject(errBadPayload, "reading multipart body: %v", err)
+		return nil, "", opts, reject(errBadPayload, "reading multipart body: %v", err)
 	}
-	return cube, opts, nil
+	return cube, digest, opts, nil
 }
 
 // v2FuseOptions reads a scene fusion's JSON options body (an empty body

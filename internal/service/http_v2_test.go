@@ -371,6 +371,40 @@ func TestV2OversizedCube(t *testing.T) {
 	wantEnvelope(t, resp, http.StatusRequestEntityTooLarge, CodePayloadTooLarge)
 }
 
+// TestV2CubePartOverrun rejects a "cube" part carrying bytes past the
+// geometry its HSIC header claims.
+func TestV2CubePartOverrun(t *testing.T) {
+	pool, err := NewPool(Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	srv := httptest.NewServer(pool.Handler())
+	defer srv.Close()
+
+	var body bytes.Buffer
+	mw := multipart.NewWriter(&body)
+	cw, err := mw.CreateFormFile("cube", "cube.hsic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := testCube(t, 2).WriteTo(cw); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cw.Write([]byte("trailing")); err != nil {
+		t.Fatal(err)
+	}
+	mw.Close()
+	resp, err := srv.Client().Post(srv.URL+"/v2/jobs", mw.FormDataContentType(), &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEnvelope(t, resp, http.StatusBadRequest, CodeBadPayload)
+	if s := pool.Stats(); s.Submitted != 0 {
+		t.Errorf("overrun upload admitted %d jobs", s.Submitted)
+	}
+}
+
 // TestV2QueueFullAndNotFinished exercises admission rejection and the
 // not-finished result conflict against a deliberately wedged pool: the
 // single dispatcher is busy with a slow job, so later submissions stack

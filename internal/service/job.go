@@ -61,18 +61,16 @@ type Job struct {
 	done chan struct{} // closed on completion (done or failed)
 
 	// Guarded by the pool's mutex.
-	state              JobState
-	cacheHit           bool
-	err                error
-	result             *core.Result
+	state    JobState
+	cacheHit bool
+	err      error
+	// result is the job's result with its PNG memo: the result cache's
+	// entry when the job has a key and the pool caches, else the job's
+	// own. A job leaving the RetainResults window gets a private,
+	// image-less copy instead.
+	result             *cachedResult
 	submitted, started time.Time
 	finished           time.Time
-
-	// Composite image memoized as PNG on first request — results are
-	// immutable once the job is done. Guarded by pngMu (not the pool
-	// mutex: PNG encoding must not block the pool).
-	pngMu sync.Mutex
-	png   []byte
 }
 
 // TileProgress is a scene job's per-tile pipeline position: each tile

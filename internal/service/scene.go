@@ -234,23 +234,35 @@ func spoolExact(path string, data io.Reader, claimed int64) error {
 		os.Remove(path)
 		return fmt.Errorf("%w: payload is %d bytes, header claims %d", ErrScenePayload, n, claimed)
 	}
-	// One more byte readable means the payload overruns the header. A
-	// single Read is not a valid probe: io.Reader lets an implementation
-	// return (0, nil) with more data still to come (chunked bodies and
-	// pipes do), which would falsely accept an oversized payload.
-	// io.ReadFull loops until a byte, io.EOF, or a real error.
-	var extra [1]byte
-	switch m, err := io.ReadFull(data, extra[:]); {
-	case m > 0:
-		f.Close()
-		os.Remove(path)
-		return fmt.Errorf("%w: payload exceeds the %d bytes the header claims", ErrScenePayload, claimed)
-	case !errors.Is(err, io.EOF):
+	// One more byte readable means the payload overruns the header.
+	switch eof, err := atEOF(data); {
+	case err != nil:
 		f.Close()
 		os.Remove(path)
 		return err
+	case !eof:
+		f.Close()
+		os.Remove(path)
+		return fmt.Errorf("%w: payload exceeds the %d bytes the header claims", ErrScenePayload, claimed)
 	}
 	return f.Close()
+}
+
+// atEOF reports whether r is exhausted, consuming at most one byte. A
+// single Read is not a valid probe: io.Reader lets an implementation
+// return (0, nil) with more data still to come (chunked bodies and pipes
+// do), which would falsely accept an oversized payload. io.ReadFull
+// loops until a byte, io.EOF, or a real error.
+func atEOF(r io.Reader) (bool, error) {
+	var extra [1]byte
+	m, err := io.ReadFull(r, extra[:])
+	switch {
+	case m > 0:
+		return false, nil
+	case errors.Is(err, io.EOF):
+		return true, nil
+	}
+	return false, err
 }
 
 // Scene returns a registered scene's snapshot.

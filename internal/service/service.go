@@ -14,11 +14,9 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"image/png"
 	"log/slog"
 	"math"
 	"os"
@@ -70,7 +68,9 @@ type Config struct {
 	// 64); submissions past it are rejected with ErrQueueFull.
 	QueueDepth int
 	// CacheEntries is the result-cache capacity (default 128; negative
-	// disables caching).
+	// disables caching). Each entry holds its result and, once a job
+	// asks for the composite, that composite's PNG (~120 KB at the
+	// paper's 320×320 geometry), encoded once and shared by every hit.
 	CacheEntries int
 	// RetainJobs bounds how many finished jobs stay queryable (default
 	// 4096); the oldest finished jobs are evicted first.
@@ -316,6 +316,13 @@ func (p *Pool) logf(format string, args ...any) {
 // status (already StateDone when served from the result cache). The
 // submitted cube and options must not be mutated afterwards.
 func (p *Pool) Submit(cube *hsi.Cube, opts core.Options) (JobStatus, error) {
+	return p.submitCube(cube, "", opts)
+}
+
+// submitCube is Submit for a caller that may already hold the cube's
+// Digest — the HTTP upload path hashes the bytes as it decodes them. An
+// empty digest is computed here when the pool caches results.
+func (p *Pool) submitCube(cube *hsi.Cube, digest string, opts core.Options) (JobStatus, error) {
 	if err := cube.Validate(); err != nil {
 		return JobStatus{}, err
 	}
@@ -325,8 +332,7 @@ func (p *Pool) Submit(cube *hsi.Cube, opts core.Options) (JobStatus, error) {
 	}
 	// The content-addressed key is only worth the full-cube hash when a
 	// cache exists to serve it.
-	var digest string
-	if p.cfg.CacheEntries > 0 {
+	if digest == "" && p.cfg.CacheEntries > 0 {
 		if digest, err = cube.Digest(); err != nil {
 			return JobStatus{}, err
 		}
@@ -426,13 +432,13 @@ func (p *Pool) enqueue(mk func(num uint64) *Job) (JobStatus, error) {
 	// computed (scene jobs digest-match equivalent in-memory uploads, so
 	// the two submission paths share entries).
 	if job.key != "" {
-		if res, ok := p.cache.get(job.key); ok {
+		if hit, ok := p.cache.get(job.key); ok {
 			if job.sceneID != "" {
 				job.markTilesComplete()
 			}
 			p.metrics.jobsSubmitted.Inc()
 			p.metrics.jobsByAlgorithm.With(job.opts.Algorithm).Inc()
-			p.finish(job, res, nil, true)
+			p.finish(job, hit, nil, true)
 			return p.snapshot(job), nil
 		}
 	}
@@ -584,10 +590,11 @@ func (p *Pool) Jobs(state JobState, limit int) []JobStatus {
 	return out
 }
 
-// ImagePNG returns the job's composite image encoded as PNG, encoding at
-// most once per job (results are immutable after completion; pollers
-// share the memoized bytes). It errors for jobs that are not done or
-// whose composite has aged out of the retention window.
+// ImagePNG returns the job's composite image encoded as PNG. The bytes
+// are memoized per result, not per job: every job that resolved to the
+// same cache entry (the run that computed it, later hits, queued twins)
+// shares one encode, made by the first request. It errors for jobs that
+// are not done or whose composite has aged out of the retention window.
 func (p *Pool) ImagePNG(id string) ([]byte, error) {
 	p.mu.Lock()
 	job := p.jobs[id]
@@ -600,28 +607,18 @@ func (p *Pool) ImagePNG(id string) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("service: job %s not finished", id)
 	}
-	job.pngMu.Lock()
-	defer job.pngMu.Unlock()
-	if job.png != nil {
-		return job.png, nil
-	}
 	p.mu.Lock()
-	res := job.result
+	out := job.result
 	state := job.state
 	jobErr := job.err
 	p.mu.Unlock()
 	if state == StateFailed {
 		return nil, fmt.Errorf("service: job %s failed: %w", id, jobErr)
 	}
-	if res == nil || res.Image == nil {
+	if out == nil || out.res.Image == nil {
 		return nil, fmt.Errorf("%w: job %s", ErrImageExpired, id)
 	}
-	var buf bytes.Buffer
-	if err := png.Encode(&buf, res.Image); err != nil {
-		return nil, err
-	}
-	job.png = buf.Bytes()
-	return job.png, nil
+	return out.imagePNG()
 }
 
 // Stats reports the pool's counters, read from the same telemetry
@@ -737,21 +734,26 @@ func (p *Pool) runJob(job *Job) {
 
 	// An identical job may have completed while this one queued.
 	if job.key != "" {
-		if res, ok := p.cache.peek(job.key); ok {
-			p.finish(job, res, nil, true)
+		if hit, ok := p.cache.peek(job.key); ok {
+			p.finish(job, hit, nil, true)
 			return
 		}
 	}
 
 	res, err := p.execute(job)
-	if err == nil && job.key != "" {
-		p.cache.put(job.key, res)
+	var out *cachedResult
+	if err == nil {
+		out = newCachedResult(res)
+		if job.key != "" {
+			p.cache.put(job.key, out)
+		}
 	}
-	p.finish(job, res, err, false)
+	p.finish(job, out, err, false)
 }
 
 // finish moves a job to its terminal state and evicts old finished jobs.
-func (p *Pool) finish(job *Job, res *core.Result, err error, fromCache bool) {
+// out is the job's result with its PNG memo (nil when err is set).
+func (p *Pool) finish(job *Job, out *cachedResult, err error, fromCache bool) {
 	p.mu.Lock()
 	// A Cancel that won the race already performed the terminal
 	// transition (and closed job.done); finishing again would double-close.
@@ -782,7 +784,7 @@ func (p *Pool) finish(job *Job, res *core.Result, err error, fromCache bool) {
 		p.metrics.jobsFailed.Inc()
 	} else {
 		job.state = StateDone
-		job.result = res
+		job.result = out
 		p.metrics.jobsCompleted.Inc()
 		// The scene's result endpoint serves its most recent success.
 		if job.sceneID != "" {
@@ -796,16 +798,14 @@ func (p *Pool) finish(job *Job, res *core.Result, err error, fromCache bool) {
 		delete(p.jobs, p.doneOrder[0])
 		p.doneOrder = p.doneOrder[1:]
 	}
-	// Strip the composite from the job leaving the RetainResults window
-	// (scalar results stay queryable). The stripped copy leaves any
-	// shared cache entry untouched.
-	var strip *Job
+	// Strip the composite and its PNG memo from the job leaving the
+	// RetainResults window (scalar results stay queryable). The stripped
+	// copy leaves any shared cache entry, PNG included, untouched.
 	if i := len(p.doneOrder) - p.cfg.RetainResults - 1; i >= 0 {
-		if old := p.jobs[p.doneOrder[i]]; old != nil && old.result != nil && old.result.Image != nil {
-			stripped := *old.result
+		if old := p.jobs[p.doneOrder[i]]; old != nil && old.result != nil && old.result.res.Image != nil {
+			stripped := *old.result.res
 			stripped.Image = nil
-			old.result = &stripped
-			strip = old
+			old.result = newCachedResult(&stripped)
 		}
 	}
 	p.mu.Unlock()
@@ -818,14 +818,6 @@ func (p *Pool) finish(job *Job, res *core.Result, err error, fromCache bool) {
 		p.journalTerminal(job, store.JobFinish, "")
 	}
 	close(job.done)
-	if strip != nil {
-		// Release the memoized PNG too. Taken outside the pool lock:
-		// ImagePNG acquires pngMu before the pool mutex, so nesting here
-		// would invert the lock order.
-		strip.pngMu.Lock()
-		strip.png = nil
-		strip.pngMu.Unlock()
-	}
 }
 
 // snapshot copies a job's current state under the pool lock.
@@ -836,13 +828,17 @@ func (p *Pool) snapshot(job *Job) JobStatus {
 }
 
 func (p *Pool) snapshotLocked(job *Job) JobStatus {
+	var res *core.Result
+	if job.result != nil {
+		res = job.result.res
+	}
 	return JobStatus{
 		ID:        job.id,
 		State:     job.state,
 		SceneID:   job.sceneID,
 		CacheHit:  job.cacheHit,
 		Err:       job.err,
-		Result:    job.result,
+		Result:    res,
 		Options:   job.opts,
 		Progress:  job.progress(),
 		Trace:     job.trace.Summary(),
